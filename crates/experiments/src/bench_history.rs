@@ -87,9 +87,9 @@ pub struct BenchRecord {
     pub speedup_vs_mutex: f64,
     /// Fused batch checking vs the sequential per-submit path, as a
     /// median of paired per-rep ratios (unfused seconds / fused
-    /// seconds) on otherwise identical engines. `None` for rows
-    /// written before batch fusion existed, for benches that do not
-    /// measure it, and for the `city_unfused` control series itself.
+    /// seconds) on otherwise identical engines. Only historical `city`
+    /// rows carry it: the fusion switch it compared against is gone,
+    /// so no bench writes it any more. Kept so those rows still load.
     pub fused_speedup: Option<f64>,
     /// Passive cost of a *disabled* registry, percent vs unobserved.
     pub obs_overhead_pct: f64,

@@ -15,9 +15,8 @@
 //! live health-telemetry overhead as `obs_health_overhead_pct` and the
 //! sampled phase-profiler overhead as `obs_profile_overhead_pct`; its
 //! other obs-overhead fields are zero/`None` and never trip the gate),
-//! `city_unfused` (the same workload with batch fusion disabled, so
-//! the sequential checking path keeps its own baseline and a
-//! regression there cannot hide behind the fused headline) —
+//! and the historical `city_unfused` rows (the same workload with batch
+//! fusion disabled, written until that switch was retired) —
 //! distinguished by the `(bench, shards, quick, host, contexts)` key.
 //!
 //! When a series regresses and its rows carry `phase_shares` (the

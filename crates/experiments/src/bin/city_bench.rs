@@ -12,18 +12,15 @@
 //! churn, and a teleport rate that plants genuine speed-constraint
 //! violations throughout the trace.
 //!
-//! Three configurations are timed: the global-mutex engine submitting
-//! contexts one at a time (the paper's deployment model), the sharded
-//! engine ingesting via `batch_add` with a periodic rebalancing cycle
-//! — every few batches the engine drains, reads per-shard subject
-//! loads, asks [`ShardPlan::rebalance`] for a better placement, and
-//! applies it before continuing — and the same sharded engines with
-//! **batch fusion disabled** (`MiddlewareBuilder::fused(false)`), the
-//! sequential per-submit checking path. All must report the identical
-//! inconsistency count. `fused_speedup` is the median of paired
-//! within-rep unfused/fused ratios, and the fused-off run appends its
-//! own `city_unfused` history row so the sequential path stays a gated
-//! regression series in its own right.
+//! Two configurations are timed: the global-mutex engine submitting
+//! contexts one at a time (the paper's deployment model, and the
+//! sequential reference: every context is checked inline through
+//! `submit`), and the sharded engine ingesting via `batch_add` — where
+//! batches are staged and speculatively checked — with a periodic
+//! rebalancing cycle: every few batches the engine drains, reads
+//! per-shard subject loads, asks [`ShardPlan::rebalance`] for a better
+//! placement, and applies it before continuing. Both must report the
+//! identical inconsistency count.
 //!
 //! Two further configurations measure **live health telemetry** on the
 //! city series, mirroring how `shard_bench` isolates the provenance
@@ -32,7 +29,7 @@
 //! histograms, and a [`Sampler`] tick per rebalance cycle, but no
 //! kind-quality cells or arena/watermark gauges), and the same
 //! registry with health on — the exact always-on monitoring
-//! configuration the soak harness runs. A fourth configuration adds the
+//! configuration the soak harness runs. A fifth configuration adds the
 //! **sampled phase profiler** (`with_profile(PROFILE_SAMPLE)`) on top
 //! of metrics-only: every [`PROFILE_SAMPLE`]-th root span records full
 //! nested phase timings, and the run's aggregated self-time shares are
@@ -118,11 +115,10 @@ fn shard_count() -> usize {
         .unwrap_or(DEFAULT_SHARDS)
 }
 
-fn engine_builder(fused: bool) -> ctxres_middleware::MiddlewareBuilder {
+fn engine_builder() -> ctxres_middleware::MiddlewareBuilder {
     Middleware::builder()
         .constraints(parse_constraints(SPEED).unwrap())
         .strategy(Box::new(DropBad::new()))
-        .fused(fused)
         .config(MiddlewareConfig {
             window: Ticks::new(0),
             track_ground_truth: false,
@@ -142,17 +138,16 @@ fn run_sharded(
     trace: &[Context],
     shards: usize,
     obs: Option<ObsConfig>,
-    fused: bool,
 ) -> (u64, usize, ShardedMiddleware) {
     let plan = ShardPlan::analyze(&parse_constraints(SPEED).unwrap(), shards);
     let (mut sharded, mut sampler) = if let Some(config) = obs {
         let registry = ShardedMiddleware::obs_registry(&plan, config);
         let sharded = ShardedMiddleware::new_observed(plan, &registry, |_, obs| {
-            engine_builder(fused).obs(obs).build()
+            engine_builder().obs(obs).build()
         });
         (sharded, Some(Sampler::new(registry)))
     } else {
-        let sharded = ShardedMiddleware::new(plan, |_| engine_builder(fused).build());
+        let sharded = ShardedMiddleware::new(plan, |_| engine_builder().build());
         (sharded, None)
     };
     let mut rebalances = 0usize;
@@ -222,11 +217,6 @@ struct BenchFile {
     contexts_per_sec: f64,
     shards: usize,
     speedup_vs_mutex: f64,
-    /// Fused batch checking vs the same engines with fusion disabled,
-    /// as a median of paired within-rep ratios.
-    fused_speedup: f64,
-    /// Best-rep throughput of the fused-off control configuration.
-    unfused_contexts_per_sec: f64,
     subjects: usize,
     zipf_exponent: f64,
     churned_subjects: u64,
@@ -285,7 +275,7 @@ fn main() {
     // second baseline rep would double the bench's wall time for a
     // denominator that only feeds `speedup_vs_mutex`.
     let mutex_start = Instant::now();
-    let shared = SharedMiddleware::new(engine_builder(true).build());
+    let shared = SharedMiddleware::new(engine_builder().build());
     for ctx in &trace {
         shared.lock().submit(ctx.clone());
     }
@@ -296,61 +286,44 @@ fn main() {
     eprintln!("  mutex: {:.1} ctx/s", n as f64 / mutex_secs);
 
     let mut best_secs = f64::INFINITY;
-    let mut best_unfused_secs = f64::INFINITY;
     let mut shard_found = 0u64;
-    let mut unfused_found = 0u64;
     let mut metrics_found = 0u64;
     let mut health_found = 0u64;
     let mut profile_found = 0u64;
     let mut tail_found = 0u64;
     let mut rebalances = 0usize;
     let mut last_run: Option<ShardedMiddleware> = None;
-    let mut last_unfused: Option<ShardedMiddleware> = None;
     let mut last_profiled: Option<ShardedMiddleware> = None;
     let mut last_tail: Option<ShardedMiddleware> = None;
-    let mut fused_secs = Vec::with_capacity(REPS);
-    let mut unfused_secs = Vec::with_capacity(REPS);
     let mut metrics_secs = Vec::with_capacity(REPS);
     let mut health_secs = Vec::with_capacity(REPS);
     let mut profile_secs = Vec::with_capacity(REPS);
     let mut tail_secs = Vec::with_capacity(REPS);
     for rep in 0..REPS {
-        // All six configurations run back-to-back within each rep, so
-        // each paired ratio sees the same machine conditions — the same
-        // interleaving discipline `shard_bench` uses for provenance.
+        // All five sharded configurations run back-to-back within each
+        // rep, so each paired ratio sees the same machine conditions —
+        // the same interleaving discipline `shard_bench` uses for
+        // provenance.
         let start = Instant::now();
-        let (found, rebs, sharded) = run_sharded(&trace, shards, None, true);
+        let (found, rebs, sharded) = run_sharded(&trace, shards, None);
         let secs = start.elapsed().as_secs_f64();
         best_secs = best_secs.min(secs);
-        fused_secs.push(secs);
         shard_found = found;
         rebalances = rebs;
         last_run = Some(sharded);
-
-        // The fused-off control: the same engines with batch fusion
-        // disabled, so `fused_speedup` is a paired within-rep ratio and
-        // the sequential path keeps its own gated throughput series.
-        let start = Instant::now();
-        let (found, _, sharded) = run_sharded(&trace, shards, None, false);
-        let u_secs = start.elapsed().as_secs_f64();
-        best_unfused_secs = best_unfused_secs.min(u_secs);
-        unfused_secs.push(u_secs);
-        unfused_found = found;
-        last_unfused = Some(sharded);
 
         let start = Instant::now();
         let (found, _, _) = run_sharded(
             &trace,
             shards,
             Some(ObsConfig::metrics_only().with_health(false)),
-            true,
         );
         let m_secs = start.elapsed().as_secs_f64();
         metrics_found = found;
         metrics_secs.push(m_secs);
 
         let start = Instant::now();
-        let (found, _, _) = run_sharded(&trace, shards, Some(ObsConfig::metrics_only()), true);
+        let (found, _, _) = run_sharded(&trace, shards, Some(ObsConfig::metrics_only()));
         let h_secs = start.elapsed().as_secs_f64();
         health_found = found;
         health_secs.push(h_secs);
@@ -360,7 +333,6 @@ fn main() {
             &trace,
             shards,
             Some(ObsConfig::metrics_only().with_profile(PROFILE_SAMPLE)),
-            true,
         );
         let p_secs = start.elapsed().as_secs_f64();
         profile_found = found;
@@ -372,18 +344,15 @@ fn main() {
             &trace,
             shards,
             Some(ObsConfig::metrics_only().with_tail(true)),
-            true,
         );
         let t_secs = start.elapsed().as_secs_f64();
         tail_found = found;
         tail_secs.push(t_secs);
         last_tail = Some(sharded);
         eprintln!(
-            "  sharded rep {}: {:.1} ctx/s, {rebs} rebalance(s) | unfused: {:.1} ctx/s ({:.2}x) | metrics: {:.1} ctx/s | +health: {:.1} ctx/s ({:+.2}%) | +profile: {:.1} ctx/s ({:+.2}%) | +tail: {:.1} ctx/s ({:+.2}%)",
+            "  sharded rep {}: {:.1} ctx/s, {rebs} rebalance(s) | metrics: {:.1} ctx/s | +health: {:.1} ctx/s ({:+.2}%) | +profile: {:.1} ctx/s ({:+.2}%) | +tail: {:.1} ctx/s ({:+.2}%)",
             rep + 1,
             n as f64 / secs,
-            n as f64 / u_secs,
-            u_secs / secs,
             n as f64 / m_secs,
             n as f64 / h_secs,
             (h_secs / m_secs - 1.0) * 100.0,
@@ -397,10 +366,6 @@ fn main() {
     assert_eq!(
         mutex_found, shard_found,
         "sharded batch ingestion must find the same inconsistencies as the mutex baseline"
-    );
-    assert_eq!(
-        shard_found, unfused_found,
-        "fused and sequential batch checking must find the same inconsistencies"
     );
     assert_eq!(
         shard_found, metrics_found,
@@ -425,11 +390,6 @@ fn main() {
     let obs_health_overhead_pct = median_paired_overhead_pct(&health_secs, &metrics_secs);
     let obs_profile_overhead_pct = median_paired_overhead_pct(&profile_secs, &metrics_secs);
     let obs_tail_overhead_pct = median_paired_overhead_pct(&tail_secs, &metrics_secs);
-    // Fused-over-sequential speedup as a median of paired within-rep
-    // ratios, the same noise discipline as the overhead columns:
-    // `median_paired_overhead_pct` returns (unfused/fused - 1) × 100.
-    let fused_speedup =
-        round2(median_paired_overhead_pct(&unfused_secs, &fused_secs) / 100.0 + 1.0);
 
     // Self-time shares from the last profiled rep: these feed regression
     // attribution in `bench_report` — when throughput drops, the phase
@@ -469,14 +429,12 @@ fn main() {
     let spec_wasted_rate = tail_sample.spec.wasted_rate.map(round4);
 
     let contexts_per_sec = n as f64 / best_secs;
-    let unfused_contexts_per_sec = n as f64 / best_unfused_secs;
     let speedup = mutex_secs / best_secs;
     eprintln!(
-        "mutex: {:.1} ctx/s | sharded({shards}): {:.1} ctx/s | speedup {:.2}x | fused {fused_speedup:.2}x over sequential ({:.1} ctx/s) | health overhead {:+.2}% | profile overhead {:+.2}% | tail overhead {:+.2}% | {} inconsistencies | {} rebalances",
+        "mutex: {:.1} ctx/s | sharded({shards}): {:.1} ctx/s | speedup {:.2}x | health overhead {:+.2}% | profile overhead {:+.2}% | tail overhead {:+.2}% | {} inconsistencies | {} rebalances",
         n as f64 / mutex_secs,
         contexts_per_sec,
         speedup,
-        unfused_contexts_per_sec,
         obs_health_overhead_pct,
         obs_profile_overhead_pct,
         obs_tail_overhead_pct,
@@ -509,7 +467,8 @@ fn main() {
 
     // Per-shard breakdown from the last timed run: which shards carried
     // the city after rebalancing settled.
-    let shard_breakdown = |sharded: &ShardedMiddleware, rate: f64| -> Vec<ShardThroughput> {
+    let per_shard: Vec<ShardThroughput> = {
+        let sharded = last_run.expect("at least one sharded rep ran");
         let stats = sharded.shard_stats();
         let total_ingested: u64 = stats.iter().map(|s| s.ingested).sum::<u64>().max(1);
         stats
@@ -521,19 +480,11 @@ fn main() {
                     shared_scope: s.shared_scope,
                     ingested: s.ingested,
                     share_pct: round2(share * 100.0),
-                    contexts_per_sec: round1(rate * share),
+                    contexts_per_sec: round1(contexts_per_sec * share),
                 }
             })
             .collect()
     };
-    let per_shard = shard_breakdown(
-        &last_run.expect("at least one sharded rep ran"),
-        contexts_per_sec,
-    );
-    let unfused_per_shard = shard_breakdown(
-        &last_unfused.expect("at least one unfused rep ran"),
-        unfused_contexts_per_sec,
-    );
     for s in &per_shard {
         eprintln!(
             "  shard {:>2}{}: {:>7} ingested ({:>5.2}%) ≈ {:.1} ctx/s",
@@ -558,8 +509,6 @@ fn main() {
         contexts_per_sec: round1(contexts_per_sec),
         shards,
         speedup_vs_mutex: round2(speedup),
-        fused_speedup,
-        unfused_contexts_per_sec: round1(unfused_contexts_per_sec),
         subjects,
         zipf_exponent: cfg.zipf_exponent,
         churned_subjects: city.churned(),
@@ -591,15 +540,15 @@ fn main() {
 
     let record = BenchRecord {
         bench: "city".to_owned(),
-        commit: commit.clone(),
-        host: host.clone(),
-        date: date.clone(),
+        commit,
+        host,
+        date,
         quick,
         shards,
         contexts: n,
         contexts_per_sec: round1(contexts_per_sec),
         speedup_vs_mutex: round2(speedup),
-        fused_speedup: Some(fused_speedup),
+        fused_speedup: None,
         // Not measured here — zero/None keeps those gates inert for
         // this series (shard_bench owns the disabled/export/provenance
         // overhead measurements).
@@ -630,42 +579,10 @@ fn main() {
         phase_shares: Some(phase_shares),
         per_shard,
     };
-    // The fused-off control gets its own history row under a distinct
-    // bench name, so `bench_report` baselines and gates the sequential
-    // path as its own series: a regression that batch fusion happens to
-    // mask cannot hide inside the fused headline number.
-    let unfused_record = BenchRecord {
-        bench: "city_unfused".to_owned(),
-        commit,
-        host,
-        date,
-        quick,
-        shards,
-        contexts: n,
-        contexts_per_sec: round1(unfused_contexts_per_sec),
-        speedup_vs_mutex: round2(mutex_secs / best_unfused_secs),
-        fused_speedup: None,
-        obs_overhead_pct: 0.0,
-        obs_enabled_overhead_pct: 0.0,
-        obs_export_overhead_pct: 0.0,
-        obs_prov_overhead_pct: None,
-        obs_health_overhead_pct: None,
-        obs_profile_overhead_pct: None,
-        obs_tail_overhead_pct: None,
-        e2e_p50_ns: None,
-        e2e_p95_ns: None,
-        e2e_p99_ns: None,
-        spec_consumed_rate: None,
-        spec_wasted_rate: None,
-        phase_shares: None,
-        per_shard: unfused_per_shard,
-    };
     let history = history_path_from_env();
-    for row in [&record, &unfused_record] {
-        match append_history(&history, row) {
-            Ok(()) => eprintln!("appended {} run to {}", row.bench, history.display()),
-            Err(e) => eprintln!("could not append bench history: {e}"),
-        }
+    match append_history(&history, &record) {
+        Ok(()) => eprintln!("appended {} run to {}", record.bench, history.display()),
+        Err(e) => eprintln!("could not append bench history: {e}"),
     }
 
     println!("{json}");

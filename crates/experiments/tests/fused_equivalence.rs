@@ -1,22 +1,24 @@
 //! Property-based equivalence of the batch-fused checking path.
 //!
 //! With per-subject universal-positive constraints, `batch_add` fuses
-//! the whole batch: set-pinned speculative checking, deferred index
-//! maintenance, and doom-note retention compaction replace the
-//! per-context pipeline. The contract is the same hard one the plain
-//! batch path carries — the verdict stream must be **bit-identical** to
-//! the unfused path — but here the configurations deliberately turn on
-//! everything whose *timing* the fusion reorders: retention compaction
-//! (doom notes must remove contexts at exactly the sequential sweep
-//! positions, which `DropBad`'s Δ-member dereferences observe), finite
-//! TTLs, the ground-truth shadow pool, situation rounds with the
-//! dirty-kind cache, and interleaved irrelevant-kind contexts.
+//! the whole batch: deferred index maintenance stages it at once, and
+//! set-pinned speculative checking hands the commit loop precomputed
+//! verdicts. The reference is per-context `submit`, which inserts each
+//! context and checks it inline at its own position. The contract is
+//! the same hard one the plain batch path carries — the verdict stream
+//! must be **bit-identical** — but here the configurations
+//! deliberately turn on everything whose *timing* the fusion reorders:
+//! retention removal (doom notes must remove contexts at the same
+//! positions whether the pool was staged ahead or not, which
+//! `DropBad`'s Δ-member dereferences observe), finite TTLs, the
+//! ground-truth shadow pool, situation rounds with the dirty-kind
+//! cache, and interleaved irrelevant-kind contexts.
 //!
 //! Compared per run: submit reports, middleware stats (including the
 //! `compacted` tally), use log, detections, observer events, checker
 //! stats, the full trace-event record, the provenance chains of every
-//! discarded context, and every pre-fusion observability counter. The
-//! memo-table counters (`pred_memo_*`, `fused_batch_evals`) are
+//! discarded context, and every observability counter both paths emit.
+//! The memo-table counters (`pred_memo_*`, `fused_batch_evals`) are
 //! excluded — they exist only on the fused path by construction.
 
 use ctxres_constraint::parse_constraints;
@@ -92,7 +94,7 @@ struct Engine {
     registry: Arc<ObsRegistry>,
 }
 
-fn engine(strategy: &str, seed: u64, window: u64, retention: u64, fused: bool) -> Engine {
+fn engine(strategy: &str, seed: u64, window: u64, retention: u64) -> Engine {
     let log = Arc::new(Mutex::new(EventLog::new()));
     let registry = ObsRegistry::shared(ObsConfig::enabled(), 1);
     let mw = Middleware::builder()
@@ -106,7 +108,6 @@ fn engine(strategy: &str, seed: u64, window: u64, retention: u64, fused: bool) -
         })
         .observer(Box::new(Arc::clone(&log)))
         .obs(registry.handle(0))
-        .fused(fused)
         .build();
     Engine { mw, log, registry }
 }
@@ -153,33 +154,40 @@ fn record(mut engine: Engine, reports: Vec<SubmitReport>) -> RunRecord {
     }
 }
 
-fn fused_vs_unfused(trace: &[Context], strategy: &str, seed: u64, window: u64, retention: u64) {
-    let mut unfused = engine(strategy, seed, window, retention, false);
-    let unfused_reports: Vec<SubmitReport> = trace
-        .iter()
-        .cloned()
-        .map(|c| unfused.mw.submit(c))
-        .collect();
-    let unfused_rec = record(unfused, unfused_reports);
+/// Per-context `submit` of the whole trace: the sequential reference.
+fn sequential(
+    trace: &[Context],
+    strategy: &str,
+    seed: u64,
+    window: u64,
+    retention: u64,
+) -> RunRecord {
+    let mut seq = engine(strategy, seed, window, retention);
+    let reports: Vec<SubmitReport> = trace.iter().cloned().map(|c| seq.mw.submit(c)).collect();
+    record(seq, reports)
+}
 
-    let mut fused = engine(strategy, seed, window, retention, true);
-    let fused_reports = fused.mw.batch_add(trace.to_vec());
-    let fused_rec = record(fused, fused_reports);
+/// The whole trace as one fused `batch_add`.
+fn fused(trace: &[Context], strategy: &str, seed: u64, window: u64, retention: u64) -> RunRecord {
+    let mut fused = engine(strategy, seed, window, retention);
+    let reports = fused.mw.batch_add(trace.to_vec());
+    record(fused, reports)
+}
 
+fn fused_vs_submit(trace: &[Context], strategy: &str, seed: u64, window: u64, retention: u64) {
     assert_eq!(
-        unfused_rec, fused_rec,
-        "fused batch_add diverged from unfused sequential submission for {strategy}"
+        sequential(trace, strategy, seed, window, retention),
+        fused(trace, strategy, seed, window, retention),
+        "fused batch_add diverged from per-context submission for {strategy}"
     );
 }
 
-/// One sharded run with per-shard fused flag; `ingest` performs the
-/// actual submission.
+/// One sharded run; `ingest` performs the actual submission.
 #[allow(clippy::type_complexity)]
 fn sharded_run(
     strategy: &str,
     seed: u64,
     retention: u64,
-    fused: bool,
     ingest: impl FnOnce(&ShardedMiddleware),
 ) -> (
     ctxres_middleware::MiddlewareStats,
@@ -204,7 +212,6 @@ fn sharded_run(
                 retention: Some(Ticks::new(retention)),
             })
             .obs(obs)
-            .fused(fused)
             .build()
     });
     ingest(&sharded);
@@ -227,7 +234,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Fused `batch_add` produces the identical verdict stream to
-    /// unfused one-at-a-time submission under retention compaction,
+    /// one-at-a-time `submit` under retention removal,
     /// TTL'd contexts, ground-truth tracking, situations, and mixed
     /// relevant/irrelevant kinds, across all four strategies.
     #[test]
@@ -242,13 +249,13 @@ proptest! {
     ) {
         let trace = city_trace(subjects, len, teleport_pct, ttl, seed);
         for strategy in STRATEGIES {
-            fused_vs_unfused(&trace, strategy, seed, window, retention);
+            fused_vs_submit(&trace, strategy, seed, window, retention);
         }
     }
 
-    /// The sharded engine with fused shard engines agrees with the
-    /// sharded engine with unfused ones on stats, pool signatures,
-    /// provenance chains, and counters.
+    /// The sharded engine's fused `batch_add` agrees with its
+    /// per-context `submit` on stats, pool signatures, provenance
+    /// chains, and counters.
     #[test]
     fn sharded_fused_matches_sharded_unfused(
         subjects in 4usize..20,
@@ -261,11 +268,13 @@ proptest! {
         let trace = city_trace(subjects, len, teleport_pct, ttl, seed);
         for strategy in STRATEGIES {
             let (a_stats, a_sig, a_chains, a_counters) =
-                sharded_run(strategy, seed, retention, false, |s| {
-                    s.batch_add_owned(trace.clone());
+                sharded_run(strategy, seed, retention, |s| {
+                    for ctx in &trace {
+                        s.submit(ctx.clone());
+                    }
                 });
             let (b_stats, b_sig, b_chains, b_counters) =
-                sharded_run(strategy, seed, retention, true, |s| {
+                sharded_run(strategy, seed, retention, |s| {
                     s.batch_add_owned(trace.clone());
                 });
             prop_assert_eq!(a_stats, b_stats, "stats diverged for {}", strategy);
@@ -277,39 +286,29 @@ proptest! {
 }
 
 /// A fixed cell that provably exercises the machinery under test:
-/// detections fire, retention compaction removes contexts (so the doom
-/// notes and the sequential sweeps must agree on removal positions),
-/// and duplicate subjects land in single subject groups.
+/// detections fire, retention removes contexts (so the doom notes of a
+/// staged batch and of per-context submits must agree on removal
+/// positions), and duplicate subjects land in single subject groups.
 #[test]
 fn fused_equivalence_smoke() {
     let trace = city_trace(8, 400, 20, 24, 42);
     for strategy in STRATEGIES {
-        let mut unfused = engine(strategy, 42, 0, 16, false);
-        let unfused_reports: Vec<SubmitReport> = trace
-            .iter()
-            .cloned()
-            .map(|c| unfused.mw.submit(c))
-            .collect();
-        let unfused_rec = record(unfused, unfused_reports);
+        let seq = sequential(&trace, strategy, 42, 0, 16);
         assert!(
-            unfused_rec.stats.inconsistencies > 0,
+            seq.stats.inconsistencies > 0,
             "{strategy}: the cell must detect something to be a real test"
         );
         assert!(
-            unfused_rec.stats.compacted > 0,
+            seq.stats.compacted > 0,
             "{strategy}: the cell must compact something to exercise doom notes"
         );
-
-        let mut fused = engine(strategy, 42, 0, 16, true);
-        let fused_reports = fused.mw.batch_add(trace.clone());
-        let fused_rec = record(fused, fused_reports);
-        assert_eq!(unfused_rec, fused_rec, "{strategy}");
+        assert_eq!(seq, fused(&trace, strategy, 42, 0, 16), "{strategy}");
     }
 }
 
 /// Ineligible constraint sets (here: an existential situation deployed
 /// *as a constraint*, which is not universal-positive) silently fall
-/// back to the unfused batch path — same verdicts, no fused counters.
+/// back to per-context submission — no fused counters.
 #[test]
 fn ineligible_constraints_fall_back_to_unfused() {
     let constraints = format!("{SPEED}\n{NEAR_ORIGIN}");
@@ -318,7 +317,6 @@ fn ineligible_constraints_fall_back_to_unfused() {
         .constraints(parse_constraints(&constraints).unwrap())
         .strategy(by_name("d-lat", 1).expect("known strategy"))
         .obs(registry.handle(0))
-        .fused(true)
         .build();
     mw.batch_add(city_trace(6, 120, 20, 30, 7));
     mw.drain();
@@ -331,7 +329,8 @@ fn ineligible_constraints_fall_back_to_unfused() {
 }
 
 /// Eligible runs actually take the fused path and the memo table
-/// actually serves hits (the counters the unfused path never emits).
+/// actually serves hits (the counters per-context submission never
+/// emits).
 /// Every SPEED predicate reads the pinned slot, so that constraint
 /// bypasses the memo by design; the guard `has_attr(b, "pos")` reads
 /// only the unpinned slot and is the class of site the memo serves.
@@ -346,7 +345,6 @@ fn fused_path_reports_memo_counters() {
         .constraints(parse_constraints(guarded).unwrap())
         .strategy(by_name("d-bad", 1).expect("known strategy"))
         .obs(registry.handle(0))
-        .fused(true)
         .build();
     mw.batch_add(city_trace(6, 200, 20, 60, 9));
     mw.drain();

@@ -141,25 +141,23 @@ pub struct Middleware {
     /// its kind must be re-dirtied when the clock passes that instant.
     expiry_queue: BTreeMap<LogicalTime, Vec<ContextKind>>,
     gt_expiry_queue: BTreeMap<LogicalTime, Vec<ContextKind>>,
-    /// Whether `batch_add` may take the fused path (set-pinned batch
-    /// checking, deferred index maintenance, speculative subject-group
-    /// parallelism) when the deployed constraints support it.
-    fused: bool,
-    /// Doom notes for the fused path: the first instant at which a
-    /// retention sweep *could* remove each context (its stamp and
-    /// deadline — or discard instant — aged past the horizon). The
-    /// fused path pops due notes instead of running the O(slots)
-    /// [`ContextPool::compact`] scan per position; because the compact
+    /// Doom notes, which drive all retention: the first instant at
+    /// which retention *could* remove each context (its stamp and
+    /// deadline — or discard instant — aged past the horizon).
+    /// [`Middleware::process_due`] pops due notes instead of running
+    /// the O(slots) [`ContextPool::compact`] scan; because the compact
     /// predicate is monotone in the horizon, popping at the note's
-    /// instant removes each context at exactly the position a
-    /// per-submit sweep would have.
+    /// instant removes each context at exactly the position a full scan
+    /// would have.
     doom_queue: BTreeMap<LogicalTime, Vec<ContextId>>,
     gt_doom_queue: BTreeMap<LogicalTime, Vec<ContextId>>,
-    /// Live only inside a fused batch: subjects touched by a discard
-    /// since the batch's speculation pass. A position whose subject is
-    /// in here re-checks inline at commit instead of consuming its
-    /// (possibly stale) speculative verdict.
-    fused_dirty_subjects: Option<HashSet<Arc<str>>>,
+    /// The checking plan of every kind seen so far (relevance plus
+    /// pinned-quantifier positions), indexed through `plan_ix`. Built on
+    /// a kind's first arrival by [`Middleware::plan_index`].
+    plans: Vec<KindPlan>,
+    plan_ix: HashMap<ContextKind, usize>,
+    /// Live only inside a fused batch's commit loop.
+    batch: Option<FusedBatch>,
     /// Checker compiled-eval count already forwarded to `obs`.
     reported_compiled_evals: u64,
     /// Violations seen per still-undecided context, for the chain-depth
@@ -186,10 +184,31 @@ pub struct Middleware {
     /// Engine-local fused-batch counter; postmortems and exemplars cite
     /// it.
     next_batch: u64,
-    /// Live only inside a fused batch with tail telemetry on: contexts
-    /// captured as tail exemplars while the batch committed, for the
-    /// slow-batch postmortem.
-    tail_batch_exemplars: Option<Vec<ContextId>>,
+}
+
+/// A verdict computed ahead of a position's commit by batch
+/// speculation: the check result against the staged pool, with the
+/// checker-counter deltas it accrued.
+struct Speculated {
+    result: Result<Vec<Detection>, EvalError>,
+    counts: PlanCounts,
+}
+
+/// The commit-loop state of one fused batch.
+struct FusedBatch {
+    /// Subjects touched by a discard since the speculation pass. A
+    /// position whose subject is in here re-checks inline at commit
+    /// instead of consuming its (possibly stale) speculative verdict.
+    dirty_subjects: HashSet<Arc<str>>,
+    /// Scratch and predicate memo of the inline re-checks; the memo
+    /// starts with everything the speculation workers memoized.
+    scratch: EvalScratch,
+    memo: PredMemo,
+    /// Speculation accounting for the tail layer.
+    spec: SpecBatch,
+    /// Contexts captured as tail exemplars while the batch committed,
+    /// for the slow-batch postmortem.
+    exemplars: Vec<ContextId>,
 }
 
 impl fmt::Debug for Middleware {
@@ -304,46 +323,51 @@ impl Middleware {
     }
 
     /// Submits a context (a **context addition change**). The context's
-    /// stamp advances the logical clock; buffered contexts whose window
-    /// elapsed are used first.
+    /// stamp advances the logical clock; due maintenance runs first
+    /// (retention removals, buffered contexts whose window elapsed are
+    /// used). The context then runs the Fig. 7 per-context protocol
+    /// through [`Middleware::commit`] and is checked inline there — the
+    /// same routine every [`Middleware::batch_add`] position commits
+    /// through.
     pub fn submit(&mut self, ctx: Context) -> SubmitReport {
-        self.submit_with_plan(ctx, None)
+        if ctx.stamp() > self.clock {
+            self.clock = ctx.stamp();
+        }
+        let now = self.clock;
+        let ingress_ns = if self.obs.tail_enabled() {
+            self.obs.now_ns()
+        } else {
+            0
+        };
+        self.process_due(now);
+        let id = self.pool.insert(ctx);
+        self.commit(id, now, ingress_ns, None)
     }
 
-    /// Submits a whole batch in arrival order, amortizing the per-kind
-    /// checking work: the batch is grouped by kind up front, each
-    /// distinct kind's [`KindPlan`] (relevance + pinned-quantifier
-    /// positions) is built once, and every context of the kind is
-    /// checked through that plan. When the deployed constraints all
-    /// compile into the per-subject universal-positive fragment (and
-    /// fusion wasn't disabled via [`MiddlewareBuilder::fused`] /
-    /// `CTXRES_FUSED`), the batch itself becomes the unit of work — see
-    /// [`Middleware::batch_add_fused`]. Either way the verdict stream —
-    /// reports, discards, provenance, situation rounds — is identical
-    /// to submitting the contexts one at a time (enforced by the
-    /// batch- and fused-equivalence proptests).
+    /// Submits a whole batch in arrival order. Every position commits
+    /// through [`Middleware::commit`], the routine [`Middleware::submit`]
+    /// uses, so the verdict stream — reports, discards, provenance,
+    /// situation rounds — is identical to submitting the contexts one
+    /// at a time (enforced by the batch- and fused-equivalence
+    /// proptests).
+    ///
+    /// When every deployed constraint compiles into the per-subject
+    /// universal-positive fragment, the batch itself becomes the unit of
+    /// work: it is staged at once and speculatively checked, and the
+    /// commit loop consumes the speculative verdicts (see
+    /// [`Middleware::batch_add_fused`]). Any other constraint set
+    /// submits position by position.
     pub fn batch_add(&mut self, batch: Vec<Context>) -> Vec<SubmitReport> {
-        if self.fused && !batch.is_empty() && self.checker.supports_batch_fusion() {
-            return self.batch_add_fused(batch);
-        }
         // The profiler root for the whole ingest pipeline: checking,
         // resolution, situation rounds and health publishing nest under
         // it, so its self time is the batch bookkeeping proper.
         let obs = self.obs.clone();
         let _ingest_phase = obs.phase(Phase::Ingest);
-        let mut plans: HashMap<ContextKind, KindPlan> = HashMap::new();
-        for ctx in &batch {
-            if !plans.contains_key(ctx.kind()) {
-                plans.insert(ctx.kind().clone(), self.checker.plan_for(ctx.kind()));
-            }
-        }
-        let reports: Vec<SubmitReport> = batch
-            .into_iter()
-            .map(|ctx| {
-                let plan = plans.get(ctx.kind());
-                self.submit_with_plan(ctx, plan)
-            })
-            .collect();
+        let reports = if !batch.is_empty() && self.checker.supports_batch_fusion() {
+            self.batch_add_fused(batch)
+        } else {
+            batch.into_iter().map(|ctx| self.submit(ctx)).collect()
+        };
         self.publish_health();
         reports
     }
@@ -365,41 +389,30 @@ impl Middleware {
     ///    prefix. Workers share a per-batch predicate memo; a group
     ///    stops speculating past its first predicted violation, since
     ///    the strategy may then discard.
-    /// 3. **Commit.** Positions replay in arrival order with the full
-    ///    per-submit protocol (events, counters, provenance, strategy
-    ///    calls, buffer drains, situation rounds). A position consumes
-    ///    its speculative verdict unless a discard has touched its
-    ///    subject since speculation — then it re-checks inline, seeing
-    ///    the post-discard pool exactly as the sequential path would.
-    ///    Discards are the only commit effects that can change a check:
-    ///    deliveries and bad-marks keep contexts in the quantifier
-    ///    domains, and expiry is a pure function of the position clock.
+    /// 3. **Commit.** Positions replay in arrival order through
+    ///    [`Middleware::commit`], each offered its speculative verdict.
+    ///    A position consumes the verdict unless a discard has touched
+    ///    its subject since speculation — then it re-checks inline,
+    ///    seeing the post-discard pool exactly as the sequential path
+    ///    would. Discards are the only commit effects that can change a
+    ///    check: deliveries and bad-marks keep contexts in the
+    ///    quantifier domains, and expiry is a pure function of the
+    ///    position clock.
     ///
-    /// Retention compaction is driven by the doom-note queues instead
-    /// of a per-position pool scan; the notes record the first instant
-    /// the compact predicate can hold, so removals land at the same
-    /// positions. The verdict stream is identical to the sequential
-    /// path; only the arena slot-allocation order (and therefore the
-    /// free-slot/recycle *gauges*) can differ, because the whole batch
-    /// claims slots before, not between, retention sweeps.
+    /// The verdict stream is identical to the sequential path; only the
+    /// arena slot-allocation order (and therefore the free-slot/recycle
+    /// *gauges*) can differ, because the whole batch claims slots
+    /// before, not between, retention removals.
     fn batch_add_fused(&mut self, batch: Vec<Context>) -> Vec<SubmitReport> {
         struct Pos {
             id: ContextId,
             now: LogicalTime,
             plan: usize,
-            relevant: bool,
             subject: Arc<str>,
-        }
-        struct Spec {
-            result: Result<Vec<Detection>, EvalError>,
-            counts: PlanCounts,
         }
         /// What one speculation worker hands back: its (position, verdict)
         /// pairs, its private predicate memo, and its busy-ns occupancy.
-        type FusedWorkerYield = (Vec<(usize, Spec)>, PredMemo, u64);
-
-        let obs = self.obs.clone();
-        let _ingest_phase = obs.phase(Phase::Ingest);
+        type FusedWorkerYield = (Vec<(usize, Speculated)>, PredMemo, u64);
 
         // Tail telemetry stamps: one monotonic ingress stamp covers the
         // whole batch (contexts "arrive" together), and per-batch
@@ -409,27 +422,11 @@ impl Middleware {
         let tail_on = self.obs.tail_enabled();
         let batch_index = self.next_batch;
         let batch_start_ns = if tail_on { self.obs.now_ns() } else { 0 };
-        if tail_on {
-            self.tail_batch_exemplars = Some(Vec::new());
-        }
         let mut spec_batch = SpecBatch::default();
 
-        // One plan per distinct kind; positions refer to it by index so
-        // the commit loop does no per-context kind clone or map lookup.
-        let mut plan_ix: HashMap<ContextKind, usize> = HashMap::new();
-        let mut plans: Vec<KindPlan> = Vec::new();
         let mut sim_clock = self.clock;
         let mut meta: Vec<Pos> = Vec::with_capacity(batch.len());
         for ctx in &batch {
-            let plan = match plan_ix.get(ctx.kind()) {
-                Some(&i) => i,
-                None => {
-                    let i = plans.len();
-                    plans.push(self.checker.plan_for(ctx.kind()));
-                    plan_ix.insert(ctx.kind().clone(), i);
-                    i
-                }
-            };
             // The prefix-max of stamps is the logical clock each
             // position will commit under.
             if ctx.stamp() > sim_clock {
@@ -438,8 +435,7 @@ impl Middleware {
             meta.push(Pos {
                 id: ContextId::from_raw(0), // assigned by staging below
                 now: sim_clock,
-                plan,
-                relevant: plans[plan].is_relevant(),
+                plan: self.plan_index(ctx.kind()),
                 subject: Arc::clone(ctx.subject_arc()),
             });
         }
@@ -461,7 +457,7 @@ impl Middleware {
         {
             let mut by_subject: HashMap<&Arc<str>, usize> = HashMap::new();
             for (k, pos) in meta.iter().enumerate() {
-                if !pos.relevant {
+                if !self.plans[pos.plan].is_relevant() {
                     continue;
                 }
                 match by_subject.get(&pos.subject) {
@@ -478,7 +474,7 @@ impl Middleware {
         // read-only; each keeps its own scratch and predicate memo, and
         // the memos fold into the commit memo afterwards.
         let relevant_total: usize = groups.iter().map(Vec::len).sum();
-        let mut specs: Vec<Option<Spec>> = Vec::new();
+        let mut specs: Vec<Option<Speculated>> = Vec::new();
         specs.resize_with(meta.len(), || None);
         let mut memo = PredMemo::new();
         if relevant_total > 0 {
@@ -487,7 +483,7 @@ impl Middleware {
             let pool = &self.pool;
             let registry = &self.registry;
             let checker = &self.checker;
-            let plans_ref = &plans;
+            let plans = &self.plans;
             let meta_ref = &meta;
             let groups_ref = &groups;
             let run_worker = |offset: usize, step: usize| -> FusedWorkerYield {
@@ -502,7 +498,7 @@ impl Middleware {
                     for &k in group {
                         let pos = &meta_ref[k];
                         let (result, counts) = checker.check_with_plan(
-                            &plans_ref[pos.plan],
+                            &plans[pos.plan],
                             registry,
                             pool,
                             pos.now,
@@ -512,7 +508,7 @@ impl Middleware {
                             &mut memo,
                         );
                         let predicted_fresh = matches!(&result, Ok(ds) if !ds.is_empty());
-                        out.push((k, Spec { result, counts }));
+                        out.push((k, Speculated { result, counts }));
                         if predicted_fresh {
                             break;
                         }
@@ -542,15 +538,11 @@ impl Middleware {
                     handles.into_iter().map(|h| h.join().unwrap()).collect()
                 })
             };
-            if tail_on {
-                spec_batch.workers_used = workers as u64;
-            }
+            spec_batch.workers_used = workers as u64;
             for (partial, worker_memo, busy_ns) in produced {
                 memo.absorb(worker_memo);
-                if tail_on {
-                    spec_batch.groups_speculated += partial.len() as u64;
-                    spec_batch.worker_busy_ns.push(busy_ns);
-                }
+                spec_batch.groups_speculated += partial.len() as u64;
+                spec_batch.worker_busy_ns.push(busy_ns);
                 for (k, spec) in partial {
                     specs[k] = Some(spec);
                 }
@@ -560,285 +552,30 @@ impl Middleware {
         let spec_end_ns = if tail_on { self.obs.now_ns() } else { 0 };
 
         // Commit: replay every position in arrival order.
-        self.fused_dirty_subjects = Some(HashSet::new());
-        let mut commit_scratch = EvalScratch::new();
+        self.batch = Some(FusedBatch {
+            dirty_subjects: HashSet::new(),
+            scratch: EvalScratch::new(),
+            memo,
+            spec: spec_batch,
+            exemplars: Vec::new(),
+        });
         let mut reports = Vec::with_capacity(meta.len());
-        for k in 0..meta.len() {
-            let Pos {
-                id,
-                now,
-                plan,
-                relevant,
-                ref subject,
-            } = meta[k];
-            if now > self.clock {
-                self.clock = now;
+        for (pos, spec) in meta.iter().zip(specs) {
+            if pos.now > self.clock {
+                self.clock = pos.now;
             }
-            self.process_due_fused(now);
-
-            let (stamp, kind, expires, gt_clone) = {
-                let ctx = self
-                    .pool
-                    .get(id)
-                    .expect("staged contexts stay pooled until their commit position");
-                (
-                    ctx.stamp(),
-                    ctx.kind().clone(),
-                    ctx.lifespan().expires_at(),
-                    (self.config.track_ground_truth && ctx.truth() == TruthTag::Expected)
-                        .then(|| ctx.clone()),
-                )
-            };
-            self.schedule_expiry_doom(id, stamp, expires);
-            self.mark_dirty_kind(&kind);
-            if let Some(at) = expires {
-                self.schedule_expiry(at, &kind);
-            }
-            self.stats.received += 1;
-            self.obs.count(CounterKind::Ingested, 1);
-            if self.obs.health_enabled() {
-                self.kind_cell(&kind).ingested(1);
-            }
-            if self.obs.is_enabled() {
-                self.obs.record(
-                    now,
-                    TraceEvent::Received {
-                        ctx: id,
-                        kind: Arc::clone(kind.name_arc()),
-                        subject: Arc::clone(subject),
-                    },
-                );
-            }
-            if self.obs.provenance_enabled() {
-                let obs = self.obs.clone();
-                let _prov_phase = obs.phase(Phase::ProvenanceEmit);
-                self.obs.record(
-                    now,
-                    TraceEvent::Caused {
-                        ctx: id,
-                        cause: CauseKind::SubmissionOf,
-                        constraint: None,
-                        partners: Vec::new(),
-                        count: None,
-                        verdict: None,
-                    },
-                );
-                self.obs.count(CounterKind::ProvEdges, 1);
-                self.obs.count(CounterKind::ProvNodes, 1);
-            }
-            if let Some(clone) = gt_clone {
-                let gid = self.gt_pool.insert(clone);
-                self.schedule_gt_expiry_doom(gid, stamp, expires);
-                self.gt_buffer.push_back((now + self.config.window, gid));
-                self.mark_gt_dirty_kind(&kind);
-                if let Some(at) = expires {
-                    self.schedule_gt_expiry(at, &kind);
-                }
-            }
-
-            if !relevant {
-                self.stats.irrelevant += 1;
-                let _ = self.pool.set_state(id, ContextState::Consistent);
-                self.obs.record(
-                    now,
-                    TraceEvent::StateChanged {
-                        ctx: id,
-                        from: ContextState::Undecided,
-                        to: ContextState::Consistent,
-                    },
-                );
-                if self.obs.provenance_enabled() {
-                    self.obs.record(
-                        now,
-                        TraceEvent::Caused {
-                            ctx: id,
-                            cause: CauseKind::ResolvedBecause,
-                            constraint: None,
-                            partners: Vec::new(),
-                            count: None,
-                            verdict: Some(ContextState::Consistent),
-                        },
-                    );
-                    self.obs.count(CounterKind::ProvEdges, 1);
-                }
-                if tail_on {
-                    // Irrelevant contexts get no constraint verdict or
-                    // resolution decision; both stamps collapse onto
-                    // the moment the fast path classified them.
-                    let classified_ns = self.obs.now_ns();
-                    self.stamp_tail(
-                        id,
-                        batch_start_ns,
-                        classified_ns,
-                        classified_ns,
-                        SpecOutcome::NotSpeculated,
-                    );
-                }
-                self.buffer.push_back((now + self.config.window, id));
-                self.obs
-                    .observe(MetricKind::QueueDepth, self.buffer.len() as u64);
-                self.dirty = true;
-                self.process_due_fused(now);
-                self.evaluate_situations_if_dirty(now);
-                let report = SubmitReport {
-                    id,
-                    fresh: 0,
-                    discarded: Vec::new(),
-                    irrelevant: true,
-                };
-                self.notify(|obs, mw| {
-                    if let Some(ctx) = mw.pool.get(id) {
-                        obs.on_submitted(&report, ctx);
-                    }
-                });
-                reports.push(report);
-                continue;
-            }
-
-            let check_span = self.obs.span(MetricKind::CheckLatency);
-            let check_obs = self.obs.clone();
-            let check_phase = check_obs.phase(Phase::ConstraintCheck);
-            let clean = self
-                .fused_dirty_subjects
-                .as_ref()
-                .is_none_or(|d| !d.contains(subject));
-            let spec_taken = specs[k].take();
-            let had_spec = spec_taken.is_some();
-            let (checked, counts) = match spec_taken.filter(|_| clean) {
-                Some(spec) => (spec.result, spec.counts),
-                // No (valid) speculative verdict — check inline at the
-                // commit position, where the pool differs from the
-                // sequential one only by contexts the live/state/id
-                // filters exclude anyway.
-                None => self.checker.check_with_plan(
-                    &plans[plan],
-                    &self.registry,
-                    &self.pool,
-                    now,
-                    id,
-                    id,
-                    &mut commit_scratch,
-                    &mut memo,
-                ),
-            };
-            self.checker.absorb_batch_counts(counts);
-            let fresh: Vec<Inconsistency> = match checked {
-                Ok(ds) => ds
-                    .into_iter()
-                    .map(|d| Inconsistency::new(&d.constraint, d.link, now))
-                    .collect(),
-                Err(_) => {
-                    self.stats.eval_errors += 1;
-                    Vec::new()
-                }
-            };
-            check_phase.finish();
-            check_span.finish();
-            let verdict_ns = if tail_on { self.obs.now_ns() } else { 0 };
-            let compiled_delta = self.checker.stats().compiled_evals - self.reported_compiled_evals;
-            if compiled_delta > 0 {
-                self.obs.count(CounterKind::CompiledEvals, compiled_delta);
-                self.reported_compiled_evals += compiled_delta;
-            }
-            self.stats.inconsistencies += fresh.len() as u64;
-            if self.obs.is_enabled() {
-                for inc in &fresh {
-                    self.obs.record(
-                        now,
-                        TraceEvent::Detected {
-                            constraint: inc.constraint().to_string(),
-                            contexts: inc.contexts().iter().copied().collect(),
-                        },
-                    );
-                }
-                self.obs.count(CounterKind::Detections, fresh.len() as u64);
-                if !fresh.is_empty() && self.obs.health_enabled() {
-                    self.kind_cell(&kind).violations(fresh.len() as u64);
-                }
-                if self.obs.provenance_enabled() {
-                    let obs = self.obs.clone();
-                    let _prov_phase = obs.phase(Phase::ProvenanceEmit);
-                    let mut edges = 0u64;
-                    for inc in &fresh {
-                        let members: Vec<ContextId> = inc.contexts().iter().copied().collect();
-                        for &c in &members {
-                            let partners: Vec<ContextId> =
-                                members.iter().copied().filter(|p| *p != c).collect();
-                            self.obs.record(
-                                now,
-                                TraceEvent::Caused {
-                                    ctx: c,
-                                    cause: CauseKind::ViolatedBy,
-                                    constraint: Some(inc.constraint().to_string()),
-                                    partners,
-                                    count: None,
-                                    verdict: None,
-                                },
-                            );
-                            *self.prov_violations.entry(c).or_insert(0) += 1;
-                            edges += 1;
-                        }
-                    }
-                    self.obs.count(CounterKind::ProvEdges, edges);
-                }
-            }
-            self.detections.extend(fresh.iter().cloned());
-
-            let resolve_span = self.obs.span(MetricKind::ResolveLatency);
-            let resolve_obs = self.obs.clone();
-            let resolve_phase = resolve_obs.phase(Phase::Resolution);
-            let outcome = self.strategy.on_addition(&mut self.pool, now, id, &fresh);
-            resolve_phase.finish();
-            resolve_span.finish();
-            if tail_on {
-                // Stamp before the discard loop: the strategy may have
-                // discarded this very context, and `count_discard`
-                // needs the pending span to fold it as `Discarded`.
-                let decision_ns = self.obs.now_ns();
-                let spec = if had_spec && clean {
-                    spec_batch.consumed += 1;
-                    SpecOutcome::Consumed
-                } else if had_spec {
-                    spec_batch.wasted_dirty += 1;
-                    SpecOutcome::WastedDirty
-                } else {
-                    spec_batch.inline_checks += 1;
-                    SpecOutcome::Inline
-                };
-                self.stamp_tail(id, batch_start_ns, verdict_ns, decision_ns, spec);
-            }
-            for did in &outcome.discarded {
-                let cause = fresh
-                    .iter()
-                    .find(|inc| inc.contexts().iter().any(|c| c == did))
-                    .cloned();
-                self.count_discard(*did, now, ContextState::Undecided, cause.as_ref());
-            }
-            if outcome.accepted {
-                self.buffer.push_back((now + self.config.window, id));
-                self.obs
-                    .observe(MetricKind::QueueDepth, self.buffer.len() as u64);
-            }
-            self.dirty = true;
-            self.process_due_fused(now);
-            self.evaluate_situations_if_dirty(now);
-            let report = SubmitReport {
-                id,
-                fresh: fresh.len(),
-                discarded: outcome.discarded,
-                irrelevant: false,
-            };
-            self.notify(|obs, mw| {
-                if !fresh.is_empty() {
-                    obs.on_detections(&fresh);
-                }
-                if let Some(ctx) = mw.pool.get(id) {
-                    obs.on_submitted(&report, ctx);
-                }
-            });
-            reports.push(report);
+            self.process_due(pos.now);
+            reports.push(self.commit(pos.id, pos.now, batch_start_ns, spec));
         }
-        self.fused_dirty_subjects = None;
+        let FusedBatch {
+            memo,
+            spec: spec_batch,
+            exemplars,
+            ..
+        } = self
+            .batch
+            .take()
+            .expect("the commit loop owns the batch state");
         if memo.hits() > 0 {
             self.obs.count(CounterKind::PredMemoHits, memo.hits());
         }
@@ -851,7 +588,6 @@ impl Middleware {
             self.obs.record_spec_batch(&spec_batch);
             let end_ns = self.obs.now_ns();
             let elapsed_ns = end_ns.saturating_sub(batch_start_ns);
-            let exemplars = self.tail_batch_exemplars.take().unwrap_or_default();
             let bound_ns = self.obs.slow_batch_bound_ns();
             if bound_ns > 0 && elapsed_ns > bound_ns {
                 // Postmortem: bundle the batch's measured wall segments
@@ -881,142 +617,40 @@ impl Middleware {
                 );
             }
         }
-        self.publish_health();
         reports
     }
 
-    /// Notes when `id` first becomes eligible for retention compaction
-    /// through its lifespan: the first instant whose horizon is past
-    /// both the stamp and the expiry deadline. No-op without retention
-    /// or for immortal contexts — those can only doom via a discard
-    /// note from [`Middleware::count_discard`].
-    fn schedule_expiry_doom(
+    /// The Fig. 7 per-context protocol, run once for every position of
+    /// every entry point. `id` is already pooled, `now` is the
+    /// position's clock and its due maintenance has run; `ingress_ns`
+    /// is its tail-telemetry ingress stamp. The position is recorded as
+    /// received, takes the Part 1 irrelevant fast path or is checked
+    /// and resolved, joins the use buffer, and ends with the due
+    /// maintenance and situation round its changes call for.
+    ///
+    /// `spec` is a precomputed verdict from batch speculation; without
+    /// one (or with one a discard has since invalidated) the position
+    /// is checked inline.
+    fn commit(
         &mut self,
         id: ContextId,
-        stamp: LogicalTime,
-        expires: Option<LogicalTime>,
-    ) {
-        if !self.fused {
-            return;
-        }
-        if let (Some(retention), Some(deadline)) = (self.config.retention, expires) {
-            let due = LogicalTime::new((stamp.tick() + 1).max(deadline.tick()) + retention.count());
-            self.doom_queue.entry(due).or_default().push(id);
-        }
-    }
-
-    /// [`Middleware::schedule_expiry_doom`] for the ground-truth shadow
-    /// pool (whose compaction is uncounted, as in the sequential path).
-    fn schedule_gt_expiry_doom(
-        &mut self,
-        gid: ContextId,
-        stamp: LogicalTime,
-        expires: Option<LogicalTime>,
-    ) {
-        if !self.fused {
-            return;
-        }
-        if let (Some(retention), Some(deadline)) = (self.config.retention, expires) {
-            let due = LogicalTime::new((stamp.tick() + 1).max(deadline.tick()) + retention.count());
-            self.gt_doom_queue.entry(due).or_default().push(gid);
-        }
-    }
-
-    /// Notes when a just-discarded context becomes compactable: its
-    /// stamp aged past the horizon (the `Inconsistent` arm of the
-    /// compact predicate, which is absorbing).
-    fn schedule_discard_doom(&mut self, id: ContextId, stamp: LogicalTime) {
-        if !self.fused {
-            return;
-        }
-        if let Some(retention) = self.config.retention {
-            let due = LogicalTime::new(stamp.tick() + 1 + retention.count());
-            self.doom_queue.entry(due).or_default().push(id);
-        }
-    }
-
-    /// [`Middleware::process_due`] for the fused path: instead of an
-    /// O(slots) [`ContextPool::compact`] scan per position, due doom
-    /// notes are popped — each context leaves the arena at exactly the
-    /// position a per-submit scan would have removed it, because a
-    /// note's instant is the first time the (monotone) compact
-    /// predicate can hold for its context.
-    fn process_due_fused(&mut self, now: LogicalTime) {
-        // Fast path: the commit loop calls this at every batch
-        // position, and almost none of them have maintenance due.
-        // When no doom note, buffered context, or ground-truth window
-        // has come due, the body below is a pure no-op — skip it
-        // before paying the registry clone and phase guard.
-        let nothing_due = self
-            .doom_queue
-            .first_key_value()
-            .is_none_or(|(due, _)| *due > now)
-            && self
-                .gt_doom_queue
-                .first_key_value()
-                .is_none_or(|(due, _)| *due > now)
-            && self.buffer.front().is_none_or(|(due, _)| *due > now)
-            && self.gt_buffer.front().is_none_or(|(due, _)| *due > now);
-        if nothing_due {
-            return;
-        }
-        let obs = self.obs.clone();
-        let _maint_phase = obs.phase(Phase::IndexMaint);
-        if let Some(retention) = self.config.retention {
-            if now.tick() > retention.count() {
-                let horizon = LogicalTime::new(now.tick() - retention.count());
-                while let Some(entry) = self.doom_queue.first_entry() {
-                    if *entry.key() > now {
-                        break;
-                    }
-                    for id in entry.remove() {
-                        let doomed = self.pool.get(id).is_some_and(|c| {
-                            c.stamp() < horizon
-                                && (c.state() == ContextState::Inconsistent || !c.is_live(horizon))
-                        });
-                        if doomed {
-                            self.pool.remove(id);
-                            self.stats.compacted += 1;
-                        }
-                    }
-                }
-                while let Some(entry) = self.gt_doom_queue.first_entry() {
-                    if *entry.key() > now {
-                        break;
-                    }
-                    for gid in entry.remove() {
-                        let doomed = self.gt_pool.get(gid).is_some_and(|c| {
-                            c.stamp() < horizon
-                                && (c.state() == ContextState::Inconsistent || !c.is_live(horizon))
-                        });
-                        if doomed {
-                            self.gt_pool.remove(gid);
-                        }
-                    }
-                }
-            }
-        }
-        self.drain_due_buffers(now);
-    }
-
-    fn submit_with_plan(&mut self, ctx: Context, plan: Option<&KindPlan>) -> SubmitReport {
-        let stamp = ctx.stamp();
-        if stamp > self.clock {
-            self.clock = stamp;
-        }
-        let now = self.clock;
+        now: LogicalTime,
+        ingress_ns: u64,
+        spec: Option<Speculated>,
+    ) -> SubmitReport {
         let tail_on = self.obs.tail_enabled();
-        let ingress_ns = if tail_on { self.obs.now_ns() } else { 0 };
-        self.process_due(now);
-
-        let truth = ctx.truth();
+        let ctx = self
+            .pool
+            .get(id)
+            .expect("a context stays pooled until its commit");
+        let stamp = ctx.stamp();
         let kind = ctx.kind().clone();
         let expires = ctx.lifespan().expires_at();
-        let subject = self.obs.is_enabled().then(|| Arc::clone(ctx.subject_arc()));
-        let gt_clone =
-            (self.config.track_ground_truth && truth == TruthTag::Expected).then(|| ctx.clone());
-        let id = self.pool.insert(ctx);
-        self.schedule_expiry_doom(id, stamp, expires);
+        let subject = Arc::clone(ctx.subject_arc());
+        let gt_clone = (self.config.track_ground_truth && ctx.truth() == TruthTag::Expected)
+            .then(|| ctx.clone());
+        let retention = self.config.retention;
+        note_doom(&mut self.doom_queue, retention, id, stamp, expires);
         self.mark_dirty_kind(&kind);
         if let Some(at) = expires {
             self.schedule_expiry(at, &kind);
@@ -1026,13 +660,13 @@ impl Middleware {
         if self.obs.health_enabled() {
             self.kind_cell(&kind).ingested(1);
         }
-        if let Some(subject) = subject {
+        if self.obs.is_enabled() {
             self.obs.record(
                 now,
                 TraceEvent::Received {
                     ctx: id,
                     kind: Arc::clone(kind.name_arc()),
-                    subject,
+                    subject: Arc::clone(&subject),
                 },
             );
         }
@@ -1062,7 +696,7 @@ impl Middleware {
             // not buffering latency. The schedule is independent of what
             // the plugged-in strategy discards.
             let gid = self.gt_pool.insert(clone);
-            self.schedule_gt_expiry_doom(gid, stamp, expires);
+            note_doom(&mut self.gt_doom_queue, retention, gid, stamp, expires);
             self.gt_buffer.push_back((now + self.config.window, gid));
             self.mark_gt_dirty_kind(&kind);
             if let Some(at) = expires {
@@ -1070,11 +704,11 @@ impl Middleware {
             }
         }
 
-        let relevant = match plan {
-            Some(p) => p.is_relevant(),
-            None => self.checker.is_relevant(&kind),
-        };
-        if !relevant {
+        let plan = self.plan_index(&kind);
+        let relevant = self.plans[plan].is_relevant();
+        let (fresh, discarded, accepted) = if relevant {
+            self.check_and_resolve(id, now, plan, &kind, &subject, ingress_ns, spec)
+        } else {
             // Fig. 7 Part 1: irrelevant contexts become consistent and
             // available immediately; applications use them on their
             // normal cadence.
@@ -1106,6 +740,9 @@ impl Middleware {
                 self.obs.count(CounterKind::ProvEdges, 1);
             }
             if tail_on {
+                // Irrelevant contexts get no constraint verdict or
+                // resolution decision; both stamps collapse onto the
+                // moment the fast path classified them.
                 let classified_ns = self.obs.now_ns();
                 self.stamp_tail(
                     id,
@@ -1115,35 +752,53 @@ impl Middleware {
                     SpecOutcome::NotSpeculated,
                 );
             }
+            (Vec::new(), Vec::new(), true)
+        };
+        if accepted {
             self.buffer.push_back((now + self.config.window, id));
             self.obs
                 .observe(MetricKind::QueueDepth, self.buffer.len() as u64);
-            self.dirty = true;
-            self.process_due(now);
-            self.evaluate_situations_if_dirty(now);
-            let report = SubmitReport {
-                id,
-                fresh: 0,
-                discarded: Vec::new(),
-                irrelevant: true,
-            };
-            self.notify(|obs, mw| {
-                if let Some(ctx) = mw.pool.get(id) {
-                    obs.on_submitted(&report, ctx);
-                }
-            });
-            return report;
         }
-
-        let check_span = self.obs.span(MetricKind::CheckLatency);
-        let check_obs = self.obs.clone();
-        let check_phase = check_obs.phase(Phase::ConstraintCheck);
-        let checked = match plan {
-            Some(p) => self
-                .checker
-                .on_added_planned(p, &self.registry, &self.pool, now, id),
-            None => self.checker.on_added(&self.registry, &self.pool, now, id),
+        self.dirty = true;
+        self.process_due(now);
+        self.evaluate_situations_if_dirty(now);
+        let report = SubmitReport {
+            id,
+            fresh: fresh.len(),
+            discarded,
+            irrelevant: !relevant,
         };
+        self.notify(|obs, mw| {
+            if !fresh.is_empty() {
+                obs.on_detections(&fresh);
+            }
+            if let Some(ctx) = mw.pool.get(id) {
+                obs.on_submitted(&report, ctx);
+            }
+        });
+        report
+    }
+
+    /// Fig. 7 Part 2 for a relevant position: the constraint verdict,
+    /// its detections, and the strategy's addition decision. Returns the
+    /// fresh inconsistencies, the contexts the strategy discarded, and
+    /// whether it accepted the context into the use buffer.
+    #[allow(clippy::too_many_arguments)]
+    fn check_and_resolve(
+        &mut self,
+        id: ContextId,
+        now: LogicalTime,
+        plan: usize,
+        kind: &ContextKind,
+        subject: &Arc<str>,
+        ingress_ns: u64,
+        spec: Option<Speculated>,
+    ) -> (Vec<Inconsistency>, Vec<ContextId>, bool) {
+        let tail_on = self.obs.tail_enabled();
+        let check_obs = self.obs.clone();
+        let check_span = check_obs.span(MetricKind::CheckLatency);
+        let check_phase = check_obs.phase(Phase::ConstraintCheck);
+        let (checked, spec_outcome) = self.verdict(id, now, plan, subject, spec);
         let fresh: Vec<Inconsistency> = match checked {
             Ok(ds) => ds
                 .into_iter()
@@ -1180,7 +835,7 @@ impl Middleware {
             if !fresh.is_empty() && self.obs.health_enabled() {
                 // Violations are attributed to the submitted kind: the
                 // arriving context is the change that surfaced them.
-                self.kind_cell(&kind).violations(fresh.len() as u64);
+                self.kind_cell(kind).violations(fresh.len() as u64);
             }
             if self.obs.provenance_enabled() {
                 let obs = self.obs.clone();
@@ -1221,16 +876,11 @@ impl Middleware {
         resolve_phase.finish();
         resolve_span.finish();
         if tail_on {
-            // Single submits never speculate; stamp before the discard
-            // loop so an eager self-discard still folds as `Discarded`.
+            // Stamp before the discard loop: the strategy may have
+            // discarded this very context, and `count_discard` needs
+            // the pending span to fold it as `Discarded`.
             let decision_ns = self.obs.now_ns();
-            self.stamp_tail(
-                id,
-                ingress_ns,
-                verdict_ns,
-                decision_ns,
-                SpecOutcome::NotSpeculated,
-            );
+            self.stamp_tail(id, ingress_ns, verdict_ns, decision_ns, spec_outcome);
         }
         for did in &outcome.discarded {
             // Addition-path discards (eager strategies) always take a
@@ -1242,29 +892,72 @@ impl Middleware {
                 .cloned();
             self.count_discard(*did, now, ContextState::Undecided, cause.as_ref());
         }
-        if outcome.accepted {
-            self.buffer.push_back((now + self.config.window, id));
-            self.obs
-                .observe(MetricKind::QueueDepth, self.buffer.len() as u64);
-        }
-        self.dirty = true;
-        self.process_due(now);
-        self.evaluate_situations_if_dirty(now);
-        let report = SubmitReport {
-            id,
-            fresh: fresh.len(),
-            discarded: outcome.discarded,
-            irrelevant: false,
+        (fresh, outcome.discarded, outcome.accepted)
+    }
+
+    /// The constraint verdict of a committing position. Outside a fused
+    /// batch it is checked inline. Inside one the position's
+    /// speculative verdict is consumed unless a discard touched its
+    /// subject since the speculation pass; otherwise it is checked
+    /// inline with the id cap that hides the batch's later, already
+    /// staged positions.
+    fn verdict(
+        &mut self,
+        id: ContextId,
+        now: LogicalTime,
+        plan: usize,
+        subject: &Arc<str>,
+        spec: Option<Speculated>,
+    ) -> (Result<Vec<Detection>, EvalError>, SpecOutcome) {
+        let plan = &self.plans[plan];
+        let Some(batch) = self.batch.as_mut() else {
+            let checked = self
+                .checker
+                .on_added_planned(plan, &self.registry, &self.pool, now, id);
+            return (checked, SpecOutcome::NotSpeculated);
         };
-        self.notify(|obs, mw| {
-            if !fresh.is_empty() {
-                obs.on_detections(&fresh);
+        let (spec, outcome) = match spec {
+            Some(spec) if !batch.dirty_subjects.contains(subject) => {
+                batch.spec.consumed += 1;
+                (Some(spec), SpecOutcome::Consumed)
             }
-            if let Some(ctx) = mw.pool.get(id) {
-                obs.on_submitted(&report, ctx);
+            Some(_) => {
+                batch.spec.wasted_dirty += 1;
+                (None, SpecOutcome::WastedDirty)
             }
+            None => {
+                batch.spec.inline_checks += 1;
+                (None, SpecOutcome::Inline)
+            }
+        };
+        let spec = spec.unwrap_or_else(|| {
+            let (result, counts) = self.checker.check_with_plan(
+                plan,
+                &self.registry,
+                &self.pool,
+                now,
+                id,
+                id,
+                &mut batch.scratch,
+                &mut batch.memo,
+            );
+            Speculated { result, counts }
         });
-        report
+        self.checker.absorb_batch_counts(spec.counts);
+        (spec.result, outcome)
+    }
+
+    /// The index of `kind`'s checking plan in the engine's plan table,
+    /// built on the kind's first arrival and shared by every entry
+    /// point afterwards.
+    fn plan_index(&mut self, kind: &ContextKind) -> usize {
+        if let Some(&i) = self.plan_ix.get(kind) {
+            return i;
+        }
+        let i = self.plans.len();
+        self.plans.push(self.checker.plan_for(kind));
+        self.plan_ix.insert(kind.clone(), i);
+        i
     }
 
     /// Removes and returns every stored context `select` matches, in
@@ -1294,9 +987,10 @@ impl Middleware {
             let stamp = ctx.stamp();
             let discarded = ctx.state() == ContextState::Inconsistent;
             let id = self.pool.insert(ctx);
-            self.schedule_expiry_doom(id, stamp, expires);
+            let retention = self.config.retention;
+            note_doom(&mut self.doom_queue, retention, id, stamp, expires);
             if discarded {
-                self.schedule_discard_doom(id, stamp);
+                note_doom(&mut self.doom_queue, retention, id, stamp, Some(stamp));
             }
             self.mark_dirty_kind(&kind);
             if let Some(at) = expires {
@@ -1348,33 +1042,47 @@ impl Middleware {
         Some(rec)
     }
 
+    /// Due maintenance at clock `now`: retention removes every context
+    /// whose doom note came due, ground-truth contexts whose window
+    /// elapsed join the shadow available view, and buffered contexts
+    /// whose window elapsed are used. A note's instant is the first at
+    /// which the (monotone) [`ContextPool::compact`] predicate can hold
+    /// for its context, so popping due notes removes exactly what a
+    /// full `compact` scan at every call would.
     fn process_due(&mut self, now: LogicalTime) {
-        // Index/arena maintenance: retention compaction and deadline
-        // queues. The use loop's resolution work nests under it as
-        // [`Phase::Resolution`], so this phase's self time is the
-        // maintenance proper.
+        // Fast path: every commit position calls this twice, and almost
+        // none of them have maintenance due. When no doom note,
+        // buffered context, or ground-truth window has come due, the
+        // body below is a pure no-op — skip it before paying the
+        // registry clone and phase guard.
+        let nothing_due = self
+            .doom_queue
+            .first_key_value()
+            .is_none_or(|(due, _)| *due > now)
+            && self
+                .gt_doom_queue
+                .first_key_value()
+                .is_none_or(|(due, _)| *due > now)
+            && self.buffer.front().is_none_or(|(due, _)| *due > now)
+            && self.gt_buffer.front().is_none_or(|(due, _)| *due > now);
+        if nothing_due {
+            return;
+        }
+        // Index/arena maintenance. The use loop's resolution work nests
+        // under it as [`Phase::Resolution`], so this phase's self time
+        // is the maintenance proper.
         let obs = self.obs.clone();
         let _maint_phase = obs.phase(Phase::IndexMaint);
         if let Some(retention) = self.config.retention {
+            // A note is due no earlier than `retention + 1`, so any due
+            // note implies a positive horizon.
             if now.tick() > retention.count() {
                 let horizon = LogicalTime::new(now.tick() - retention.count());
-                self.stats.compacted += self.pool.compact(horizon) as u64;
-                self.gt_pool.compact(horizon);
-                // The full scan removed everything a due doom note
-                // could name; drop the stale notes so runs that mix
-                // per-context submits with fused batches stay bounded.
-                prune_doom_notes(&mut self.doom_queue, now);
-                prune_doom_notes(&mut self.gt_doom_queue, now);
+                self.stats.compacted +=
+                    remove_doomed(&mut self.doom_queue, &mut self.pool, now, horizon);
+                remove_doomed(&mut self.gt_doom_queue, &mut self.gt_pool, now, horizon);
             }
         }
-        self.drain_due_buffers(now);
-    }
-
-    /// The deadline-queue drains shared by [`Middleware::process_due`]
-    /// and [`Middleware::process_due_fused`]: ground-truth contexts
-    /// whose window elapsed join the shadow available view, and
-    /// buffered contexts whose window elapsed are used.
-    fn drain_due_buffers(&mut self, now: LogicalTime) {
         while let Some((due, gid)) = self.gt_buffer.front().copied() {
             if due > now {
                 break;
@@ -1580,12 +1288,18 @@ impl Middleware {
                 self.kind_cell(&kind).discarded(1);
             }
             // Every Inconsistent transition funnels through here, so
-            // this is both where a context's compaction instant becomes
-            // known (fused doom note) and where a fused batch learns
-            // its speculative verdicts for this subject are stale.
-            self.schedule_discard_doom(id, stamp);
-            if let Some(dirty) = self.fused_dirty_subjects.as_mut() {
-                dirty.insert(subject);
+            // this is both where a context's removal instant becomes
+            // known (doom note) and where a fused batch learns its
+            // speculative verdicts for this subject are stale.
+            note_doom(
+                &mut self.doom_queue,
+                self.config.retention,
+                id,
+                stamp,
+                Some(stamp),
+            );
+            if let Some(batch) = self.batch.as_mut() {
+                batch.dirty_subjects.insert(subject);
             }
         }
         self.stats.discarded += 1;
@@ -1684,8 +1398,8 @@ impl Middleware {
             .obs
             .record_e2e(id, outcome, span, p.batch_index, p.spec, at)
         {
-            if let Some(captured) = self.tail_batch_exemplars.as_mut() {
-                captured.push(id);
+            if let Some(batch) = self.batch.as_mut() {
+                batch.exemplars.push(id);
             }
         }
     }
@@ -1844,15 +1558,52 @@ impl Middleware {
     }
 }
 
-/// Drops every doom note due at or before `now` — a full compaction
-/// scan already removed (or rejected) everything those notes name.
-fn prune_doom_notes(queue: &mut BTreeMap<LogicalTime, Vec<ContextId>>, now: LogicalTime) {
+/// Notes when retention can first remove context `id`, stamped
+/// `stamp`, whose live interval ends at `deadline`: the first instant
+/// whose horizon lies past both. A discard ends the live interval at
+/// once, so its deadline is the stamp itself. No-op without retention
+/// or for an immortal, undiscarded context — the compact predicate
+/// never holds for those.
+fn note_doom(
+    queue: &mut BTreeMap<LogicalTime, Vec<ContextId>>,
+    retention: Option<Ticks>,
+    id: ContextId,
+    stamp: LogicalTime,
+    deadline: Option<LogicalTime>,
+) {
+    if let (Some(retention), Some(deadline)) = (retention, deadline) {
+        let due = LogicalTime::new((stamp.tick() + 1).max(deadline.tick()) + retention.count());
+        queue.entry(due).or_default().push(id);
+    }
+}
+
+/// Pops every doom note due at or before `now` and removes each named
+/// context the compact predicate holds for at `horizon`, returning how
+/// many left `pool`. Notes for contexts already gone (migrated to
+/// another shard) are dropped.
+fn remove_doomed(
+    queue: &mut BTreeMap<LogicalTime, Vec<ContextId>>,
+    pool: &mut ContextPool,
+    now: LogicalTime,
+    horizon: LogicalTime,
+) -> u64 {
+    let mut removed = 0;
     while let Some(entry) = queue.first_entry() {
         if *entry.key() > now {
             break;
         }
-        entry.remove();
+        for id in entry.remove() {
+            let doomed = pool.get(id).is_some_and(|c| {
+                c.stamp() < horizon
+                    && (c.state() == ContextState::Inconsistent || !c.is_live(horizon))
+            });
+            if doomed {
+                pool.remove(id);
+                removed += 1;
+            }
+        }
     }
+    removed
 }
 
 /// Moves every expiry entry due at or before `now` into the dirty set.
@@ -1885,10 +1636,6 @@ pub struct MiddlewareBuilder {
     /// unset default then falls back to the `CTXRES_SITUATION_CACHE`
     /// environment variable (see [`MiddlewareBuilder::build`]).
     situation_cache: Option<bool>,
-    /// `None` until [`MiddlewareBuilder::fused`] is called; the unset
-    /// default then falls back to the `CTXRES_FUSED` environment
-    /// variable (see [`MiddlewareBuilder::build`]).
-    fused: Option<bool>,
 }
 
 impl fmt::Debug for MiddlewareBuilder {
@@ -1963,25 +1710,6 @@ impl MiddlewareBuilder {
         self
     }
 
-    /// Enables or disables batch-fused checking (default **on**). When
-    /// every deployed constraint compiles into the per-subject
-    /// universal-positive fragment, [`Middleware::batch_add`] then
-    /// stages the whole batch, repairs each index bucket once, drives
-    /// retention compaction from doom notes, and speculatively checks
-    /// disjoint subject groups (in parallel for large batches) — with a
-    /// verdict stream identical to per-context submission. Ineligible
-    /// constraint sets fall back to the sequential path regardless of
-    /// this switch.
-    ///
-    /// When this method is never called, the `CTXRES_FUSED` environment
-    /// variable decides (`0`/`false`/`off` disable; anything else, or
-    /// unset, enables) — the escape hatch CI uses for whole-suite A/B
-    /// equivalence legs.
-    pub fn fused(mut self, enabled: bool) -> Self {
-        self.fused = Some(enabled);
-        self
-    }
-
     /// Builds the middleware.
     ///
     /// # Panics
@@ -2039,15 +1767,11 @@ impl MiddlewareBuilder {
             gt_dirty_kinds: HashSet::new(),
             expiry_queue: BTreeMap::new(),
             gt_expiry_queue: BTreeMap::new(),
-            fused: self.fused.unwrap_or_else(|| {
-                !matches!(
-                    std::env::var("CTXRES_FUSED").as_deref(),
-                    Ok("0") | Ok("false") | Ok("off")
-                )
-            }),
             doom_queue: BTreeMap::new(),
             gt_doom_queue: BTreeMap::new(),
-            fused_dirty_subjects: None,
+            plans: Vec::new(),
+            plan_ix: HashMap::new(),
+            batch: None,
             reported_compiled_evals: 0,
             prov_violations: HashMap::new(),
             matched: 0,
@@ -2060,7 +1784,6 @@ impl MiddlewareBuilder {
             kind_cells: HashMap::new(),
             tail_pending: HashMap::new(),
             next_batch: 0,
-            tail_batch_exemplars: None,
         }
     }
 }

@@ -227,6 +227,16 @@ mod tests {
     use crate::registry::ObsConfig;
     use std::io::Read;
 
+    /// Serializes the tests that bind ports. Two of them assert that a
+    /// shut-down server's port refuses connections, and the kernel may
+    /// hand a just-released port to a concurrent test's `bind(0)`.
+    fn port_lock() -> std::sync::MutexGuard<'static, ()> {
+        static PORTS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        PORTS
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
     fn get(addr: SocketAddr, path: &str) -> (String, String) {
         let mut stream = TcpStream::connect(addr).unwrap();
         write!(stream, "GET {path} HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
@@ -238,6 +248,7 @@ mod tests {
 
     #[test]
     fn serves_metrics_snapshot_and_404() {
+        let _ports = port_lock();
         let registry = ObsRegistry::shared(ObsConfig::metrics_only(), 2);
         registry
             .handle(0)
@@ -266,6 +277,7 @@ mod tests {
 
     #[test]
     fn consecutive_scrapes_advance_the_window() {
+        let _ports = port_lock();
         let registry = ObsRegistry::shared(ObsConfig::metrics_only(), 1);
         let server = MetricsServer::spawn(Arc::clone(&registry), "127.0.0.1:0").unwrap();
         let addr = server.local_addr();
@@ -284,6 +296,7 @@ mod tests {
 
     #[test]
     fn snapshot_serves_tail_fields_when_enabled() {
+        let _ports = port_lock();
         use crate::tail::{ContextSpan, SpecOutcome, TailOutcome};
         let registry = ObsRegistry::shared(ObsConfig::metrics_only().with_tail(true), 1);
         registry.handle(0).record_e2e(
@@ -311,6 +324,7 @@ mod tests {
 
     #[test]
     fn shutdown_joins_the_accept_loop() {
+        let _ports = port_lock();
         let registry = ObsRegistry::shared(ObsConfig::metrics_only(), 1);
         let server = MetricsServer::spawn(Arc::clone(&registry), "127.0.0.1:0").unwrap();
         let addr = server.local_addr();
@@ -325,6 +339,7 @@ mod tests {
 
     #[test]
     fn drop_joins_the_accept_loop() {
+        let _ports = port_lock();
         let registry = ObsRegistry::shared(ObsConfig::metrics_only(), 1);
         let addr = {
             let server = MetricsServer::spawn(Arc::clone(&registry), "127.0.0.1:0").unwrap();
@@ -339,6 +354,7 @@ mod tests {
 
     #[test]
     fn shutdown_works_for_unspecified_bind_addresses() {
+        let _ports = port_lock();
         // Binding 0.0.0.0 yields an unspecified local IP; the shutdown
         // wake-up must still reach the accept loop (via loopback) or
         // this test hangs in join.
