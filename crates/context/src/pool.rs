@@ -57,14 +57,47 @@ struct SlotHandle {
 /// Secondary index for one context kind: every stored context of the
 /// kind, plus a per-subject sub-index. Both vectors hold generational
 /// slot handles ordered by `(stamp, id)` — for in-order arrivals that
-/// is plain append, out-of-order stamps pay one binary-searched insert.
+/// is plain append, an out-of-order stamp pays one shifted insert.
+///
+/// A subject vector holds exactly the kind's stored contexts about its
+/// subject: removal unlinks the handle at once. `all` is unlinked
+/// lazily: a removed context's handle stays behind, dead (its slot's
+/// generation has moved on), and iteration skips it. Once dead handles
+/// reach the stored count, one order-preserving `retain` drops them
+/// all, so `all` never holds more than about twice the stored contexts
+/// and the sweep costs amortised O(1) per removal.
 #[derive(Debug, Default, Clone)]
 struct KindBucket {
     all: Vec<SlotHandle>,
+    /// Contexts of the kind currently stored; the other
+    /// `all.len() - stored` handles in `all` are dead.
+    stored: usize,
     /// Keyed by the contexts' shared subject `Arc` so lookups can borrow
     /// the caller's `&str` — a flat `(ContextKind, String)` key would
     /// force a key clone per lookup.
     by_subject: HashMap<Arc<str>, Vec<SlotHandle>>,
+}
+
+impl KindBucket {
+    /// Pops the dead handles off the end of `all`. A dead handle's slot
+    /// may already hold another context, so its key no longer says where
+    /// it sat, and a batch's sort-merge ([`repair_tail`]) compares its
+    /// first handle against the last one before it.
+    fn pop_dead_tail(&mut self, generations: &[u32]) {
+        while self
+            .all
+            .last()
+            .is_some_and(|h| generations[h.slot as usize] != h.generation)
+        {
+            self.all.pop();
+        }
+    }
+
+    /// Drops every dead handle from `all`, keeping the live ones' order.
+    fn drop_dead(&mut self, generations: &[u32]) {
+        self.all
+            .retain(|h| generations[h.slot as usize] == h.generation);
+    }
 }
 
 /// Indexed storage for the contexts a middleware manages.
@@ -101,36 +134,52 @@ pub struct ContextPool {
     generations: Vec<u32>,
     /// Free slots available for reuse.
     free: Vec<u32>,
-    /// Dense id → slot table, indexed by raw id ([`NO_SLOT`] once
-    /// removed). Ids are pool-assigned and never reused, so the table
-    /// only grows with `next_id`.
+    /// Dense id → slot table, indexed by `raw id - id_base`
+    /// ([`NO_SLOT`] once removed). Ids are pool-assigned and never
+    /// reused. The entries before `id_head` are all removed; once they
+    /// are half the table they are cut off, so the table spans at most
+    /// about twice the ids from the oldest stored context to the newest.
+    /// A context that is never removed pins every id after it.
     id_slots: Vec<u32>,
+    /// Raw id of `id_slots[0]`.
+    id_base: u64,
+    /// Index of the first `id_slots` entry still naming a slot, or
+    /// `id_slots.len()` when none does.
+    id_head: usize,
     by_kind: HashMap<ContextKind, KindBucket>,
     next_id: u64,
     inserted: u64,
     stored: usize,
     /// Lifetime count of slot generation bumps (slot recycles): every
-    /// removal invalidates a slot and returns it to the free list.
+    /// removal invalidates a slot and returns it to the free list
+    /// (unless its generations are used up).
     recycles: u64,
+    /// Index handles the removal path has touched, for the tests that
+    /// prove removal cost independent of the kind's size.
+    #[cfg(test)]
+    handle_visits: u64,
 }
 
-/// Inserts `handle` into `index`, keeping it ordered by `(stamp, id)`.
-/// In-order arrivals (the overwhelmingly common case) append; an
-/// out-of-order stamp binary-searches its position.
+/// Inserts a fresh `handle` into `index` after the last live handle
+/// that sorts before it by `(stamp, id)`. A dead handle's key is not
+/// trusted (its slot may hold another context by now), so instead of a
+/// binary search the walk goes back from the end past dead handles and
+/// later stamps: one step for in-order arrivals (the overwhelmingly
+/// common case), and never further than the shift the insert pays.
 fn index_insert(
     index: &mut Vec<SlotHandle>,
     stamps: &[LogicalTime],
     ids: &[ContextId],
+    generations: &[u32],
     handle: SlotHandle,
 ) {
     let key = |h: SlotHandle| (stamps[h.slot as usize], ids[h.slot as usize]);
-    match index.last() {
-        Some(&last) if key(last) > key(handle) => {
-            let at = index.partition_point(|&h| key(h) <= key(handle));
-            index.insert(at, handle);
-        }
-        _ => index.push(handle),
-    }
+    let target = key(handle);
+    let at = index
+        .iter()
+        .rposition(|&h| generations[h.slot as usize] == h.generation && key(h) < target)
+        .map_or(0, |i| i + 1);
+    index.insert(at, handle);
 }
 
 /// Restores `(stamp, id)` order after a batch appended its handles
@@ -139,10 +188,14 @@ fn index_insert(
 /// touched bucket per batch instead of a binary-searched memmove per
 /// insert. In-order arrivals (the overwhelmingly common case) take the
 /// boundary-comparison fast path and touch nothing.
+///
+/// The head's last handle must be live; the merge drops the head's dead
+/// handles, whose keys may no longer be valid.
 fn repair_tail(
     index: &mut Vec<SlotHandle>,
     stamps: &[LogicalTime],
     ids: &[ContextId],
+    generations: &[u32],
     split: usize,
 ) {
     let key = |h: SlotHandle| (stamps[h.slot as usize], ids[h.slot as usize]);
@@ -158,7 +211,10 @@ fn repair_tail(
     let tail = index.split_off(split);
     let head = std::mem::take(index);
     index.reserve(head.len() + tail.len());
-    let mut head = head.into_iter().peekable();
+    let mut head = head
+        .into_iter()
+        .filter(|h| generations[h.slot as usize] == h.generation)
+        .peekable();
     let mut tail = tail.into_iter().peekable();
     loop {
         match (head.peek(), tail.peek()) {
@@ -195,13 +251,11 @@ impl ContextPool {
         let subject = Arc::clone(ctx.subject_arc());
         let (id, handle) = self.arena_insert(ctx);
         let bucket = self.by_kind.entry(kind).or_default();
-        index_insert(&mut bucket.all, &self.slot_stamps, &self.slot_ids, handle);
-        index_insert(
-            bucket.by_subject.entry(subject).or_default(),
-            &self.slot_stamps,
-            &self.slot_ids,
-            handle,
-        );
+        let (stamps, ids, generations) = (&self.slot_stamps, &self.slot_ids, &self.generations);
+        index_insert(&mut bucket.all, stamps, ids, generations, handle);
+        bucket.stored += 1;
+        let handles = bucket.by_subject.entry(subject).or_default();
+        index_insert(handles, stamps, ids, generations, handle);
         id
     }
 
@@ -262,7 +316,11 @@ impl ContextPool {
             let (id, handle) = self.arena_insert(ctx);
             ids.push(id);
             let bucket = self.by_kind.entry(kind.clone()).or_default();
-            all_splits.entry(kind.clone()).or_insert(bucket.all.len());
+            all_splits.entry(kind.clone()).or_insert_with(|| {
+                bucket.pop_dead_tail(&self.generations);
+                bucket.all.len()
+            });
+            bucket.stored += 1;
             let handles = bucket.by_subject.entry(Arc::clone(&subject)).or_default();
             subject_splits
                 .entry((kind, subject))
@@ -270,9 +328,11 @@ impl ContextPool {
             handles.push(handle);
             bucket.all.push(handle);
         }
+        let (stamps, slot_ids, generations) =
+            (&self.slot_stamps, &self.slot_ids, &self.generations);
         for (kind, split) in all_splits {
             if let Some(bucket) = self.by_kind.get_mut(&kind) {
-                repair_tail(&mut bucket.all, &self.slot_stamps, &self.slot_ids, split);
+                repair_tail(&mut bucket.all, stamps, slot_ids, generations, split);
             }
         }
         for ((kind, subject), split) in subject_splits {
@@ -281,15 +341,15 @@ impl ContextPool {
                 .get_mut(&kind)
                 .and_then(|b| b.by_subject.get_mut(&subject))
             {
-                repair_tail(handles, &self.slot_stamps, &self.slot_ids, split);
+                repair_tail(handles, stamps, slot_ids, generations, split);
             }
         }
         ids
     }
 
     fn slot_of(&self, id: ContextId) -> Option<usize> {
-        let raw = usize::try_from(id.raw()).ok()?;
-        let slot = *self.id_slots.get(raw)?;
+        let at = usize::try_from(id.raw().checked_sub(self.id_base)?).ok()?;
+        let slot = *self.id_slots.get(at)?;
         (slot != NO_SLOT).then_some(slot as usize)
     }
 
@@ -328,7 +388,7 @@ impl ContextPool {
 
     /// Iterates over all stored contexts in arrival order.
     pub fn iter(&self) -> impl Iterator<Item = (ContextId, &Context)> {
-        self.id_slots
+        self.id_slots[self.id_head..]
             .iter()
             .filter(|&&slot| slot != NO_SLOT)
             .map(move |&slot| {
@@ -478,66 +538,23 @@ impl ContextPool {
         Ok(())
     }
 
-    /// Frees a context's arena slot without touching the kind indexes;
-    /// the caller purges the affected buckets afterwards (individually
-    /// for one-off removals, once per bucket for bulk sweeps).
-    fn release_slot(&mut self, id: ContextId) -> Option<Context> {
-        let slot = self.slot_of(id)?;
-        let ctx = self.payloads[slot].take()?;
-        self.id_slots[id.raw() as usize] = NO_SLOT;
-        self.generations[slot] = self.generations[slot].wrapping_add(1);
-        self.free.push(slot as u32);
-        self.stored -= 1;
-        self.recycles += 1;
-        Some(ctx)
-    }
-
-    /// Drops every dead handle from the kind/subject indexes of `kind`,
-    /// and the bucket entries that become empty with them.
-    fn purge_kind_index(&mut self, kind: &ContextKind) {
-        let Some(bucket) = self.by_kind.get_mut(kind) else {
-            return;
-        };
-        let generations = &self.generations;
-        bucket
-            .all
-            .retain(|h| generations[h.slot as usize] == h.generation);
-        bucket.by_subject.retain(|_, handles| {
-            handles.retain(|h| generations[h.slot as usize] == h.generation);
-            !handles.is_empty()
-        });
-        if bucket.all.is_empty() {
-            self.by_kind.remove(kind);
-        }
-    }
-
-    /// Physically removes the contexts selected by `doom`, purging each
-    /// affected kind index once rather than per removal.
+    /// Physically removes the contexts selected by `doom`, one
+    /// [`Self::remove`] each.
     ///
     /// Scans occupied slots directly rather than going through
-    /// [`Self::iter`]: the id table grows monotonically with every
-    /// insertion ever made, so an id-ordered walk would make each
-    /// sweep O(total inserts) — ruinous for the per-submit retention
-    /// compaction on long runs — while the slot arrays stay sized to
-    /// the stored population. Removal needs no particular order.
+    /// [`Self::iter`]: the slot arrays stay sized to the stored
+    /// population, while the id table spans the ids since the oldest
+    /// stored context, which one long-lived context can stretch to
+    /// every insert made since. Removal needs no particular order.
     fn remove_where(&mut self, doom: impl Fn(&Context) -> bool) -> usize {
-        let doomed: Vec<(ContextId, ContextKind)> = self
+        let doomed: Vec<ContextId> = self
             .payloads
             .iter()
             .zip(&self.slot_ids)
-            .filter_map(|(payload, &id)| payload.as_ref().map(|c| (id, c)))
-            .filter(|(_, c)| doom(c))
-            .map(|(id, c)| (id, c.kind().clone()))
+            .filter_map(|(payload, &id)| payload.as_ref().filter(|c| doom(c)).map(|_| id))
             .collect();
-        let mut kinds: Vec<ContextKind> = Vec::new();
-        for (id, kind) in &doomed {
-            self.release_slot(*id);
-            if !kinds.contains(kind) {
-                kinds.push(kind.clone());
-            }
-        }
-        for kind in &kinds {
-            self.purge_kind_index(kind);
+        for &id in &doomed {
+            self.remove(id);
         }
         doomed.len()
     }
@@ -559,12 +576,96 @@ impl ContextPool {
         self.remove_where(|c| !c.is_live(now) && c.state() != ContextState::Inconsistent)
     }
 
-    /// Physically removes a context and its index entries.
+    /// Physically removes a context and its index entries: the one
+    /// removal routine behind [`Self::compact`], [`Self::sweep_expired`]
+    /// and shard migration. Costs a binary search plus a shift of the
+    /// context's own subject vector and amortised O(1) for `all` (see
+    /// [`KindBucket`]); nothing scales with the kind's other subjects.
     pub fn remove(&mut self, id: ContextId) -> Option<Context> {
-        let ctx = self.release_slot(id)?;
-        let kind = ctx.kind().clone();
-        self.purge_kind_index(&kind);
+        let slot = self.slot_of(id)?;
+        let handle = SlotHandle {
+            slot: slot as u32,
+            generation: self.generations[slot],
+        };
+        let ctx = self.payloads[slot].take().expect("occupied slot");
+        self.forget_id(id);
+        // A dead handle may wait in `all` for its bucket's next
+        // compaction while other kinds recycle its slot many times, so
+        // a slot whose generation is used up is retired, not recycled:
+        // generations never wrap, and a dead handle never comes back.
+        self.generations[slot] += 1;
+        if self.generations[slot] != u32::MAX {
+            self.free.push(slot as u32);
+        }
+        self.stored -= 1;
+        self.recycles += 1;
+        self.unlink(&ctx, handle);
         Some(ctx)
+    }
+
+    /// Marks `id` removed in the id table, advances `id_head` past the
+    /// removed run it may complete, and cuts that run off once it is
+    /// half the table — amortised O(1).
+    fn forget_id(&mut self, id: ContextId) {
+        let at = (id.raw() - self.id_base) as usize;
+        self.id_slots[at] = NO_SLOT;
+        if at == self.id_head {
+            self.id_head += self.id_slots[at..]
+                .iter()
+                .take_while(|&&s| s == NO_SLOT)
+                .count();
+            if 2 * self.id_head >= self.id_slots.len() {
+                self.id_slots.drain(..self.id_head);
+                self.id_base += self.id_head as u64;
+                self.id_head = 0;
+            }
+        }
+    }
+
+    /// Takes the just-released `handle` of `ctx` out of its kind's
+    /// index: out of its subject vector at once, out of `all` at the
+    /// bucket's next compaction (see [`KindBucket`]).
+    fn unlink(&mut self, ctx: &Context, handle: SlotHandle) {
+        let bucket = self
+            .by_kind
+            .get_mut(ctx.kind())
+            .expect("a stored context has a kind bucket");
+        bucket.stored -= 1;
+        if bucket.stored == 0 {
+            self.by_kind.remove(ctx.kind());
+            return;
+        }
+        // The slot keeps its stamp and id until reuse, and the subject
+        // vector holds live handles only, so every key is valid.
+        let (stamps, ids) = (&self.slot_stamps, &self.slot_ids);
+        let key = |h: SlotHandle| (stamps[h.slot as usize], ids[h.slot as usize]);
+        let handles = bucket
+            .by_subject
+            .get_mut(ctx.subject())
+            .expect("a stored context has a subject vector");
+        let mut visited = handles.len();
+        let target = key(handle);
+        let at = handles.partition_point(|&h| key(h) < target);
+        debug_assert_eq!(handles.get(at), Some(&handle));
+        handles.remove(at);
+        if handles.is_empty() {
+            bucket.by_subject.remove(ctx.subject());
+        }
+        if bucket.all.len() - bucket.stored >= bucket.stored {
+            visited += bucket.all.len();
+            bucket.drop_dead(&self.generations);
+        }
+        self.count_visits(visited);
+    }
+
+    /// Adds to the handle-visit count the scaling tests read; a no-op
+    /// outside tests.
+    #[inline]
+    fn count_visits(&mut self, _visited: usize) {
+        #[cfg(test)]
+        {
+            self.handle_visits += _visited as u64;
+        }
     }
 
     /// Consumes the pool, yielding its contexts in arrival order.
@@ -1149,8 +1250,150 @@ mod tests {
         }
     }
 
+    /// The index invariants every operation must leave behind: `all`
+    /// at most about half dead with its live handles in `(stamp, id)`
+    /// order, subject vectors sorted and free of dead handles, no empty
+    /// bucket or subject vector, and an id table trimmed at the front.
+    fn assert_index_invariants(pool: &ContextPool) {
+        let live = |h: &SlotHandle| pool.generations[h.slot as usize] == h.generation;
+        let key = |h: &SlotHandle| {
+            (
+                pool.slot_stamps[h.slot as usize],
+                pool.slot_ids[h.slot as usize],
+            )
+        };
+        let mut stored = 0;
+        for (kind, bucket) in &pool.by_kind {
+            assert!(bucket.stored > 0, "empty bucket left for {kind:?}");
+            assert!(
+                bucket.all.len() <= 2 * bucket.stored + 1,
+                "{kind:?}: {} handles for {} stored",
+                bucket.all.len(),
+                bucket.stored
+            );
+            let all_live: Vec<_> = bucket.all.iter().filter(|h| live(h)).collect();
+            assert_eq!(
+                all_live.len(),
+                bucket.stored,
+                "{kind:?}: live handles in all"
+            );
+            assert!(all_live.windows(2).all(|w| key(w[0]) < key(w[1])));
+            let mut in_subjects = 0;
+            for (subject, handles) in &bucket.by_subject {
+                assert!(!handles.is_empty(), "empty subject vector {subject}");
+                assert!(handles.iter().all(live), "dead handle under {subject}");
+                assert!(handles.windows(2).all(|w| key(&w[0]) < key(&w[1])));
+                in_subjects += handles.len();
+            }
+            assert_eq!(in_subjects, bucket.stored, "{kind:?}: subject handles");
+            stored += bucket.stored;
+        }
+        assert_eq!(stored, pool.len());
+        let (removed, rest) = pool.id_slots.split_at(pool.id_head);
+        assert!(removed.iter().all(|&s| s == NO_SLOT));
+        assert_ne!(
+            rest.first(),
+            Some(&NO_SLOT),
+            "id_head behind the first stored id"
+        );
+        assert!(
+            rest.is_empty() || 2 * removed.len() < pool.id_slots.len(),
+            "untrimmed id table"
+        );
+        assert_eq!(pool.id_base + pool.id_slots.len() as u64, pool.next_id);
+    }
+
     #[test]
-    fn bulk_sweep_purges_indexes_once() {
+    fn index_invariants_hold_after_every_op() {
+        // xorshift: a fixed, dependency-free op stream.
+        let mut state = 0x9E37_79B9_7F4A_7C15_u64;
+        let mut next = move |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % n
+        };
+        let kinds = [ContextKind::new("location"), ContextKind::new("rfid")];
+        let mut pool = ContextPool::new();
+        let mut clock = 0u64;
+        let mut ids: Vec<ContextId> = Vec::new();
+        let mut make = |next: &mut dyn FnMut(u64) -> u64| {
+            clock += 1;
+            // Hot subjects, mixed kinds, some stamps from the past.
+            let subject = if next(2) == 0 { next(3) } else { next(40) };
+            let stamp = clock.saturating_sub(if next(4) == 0 { next(20) } else { 0 });
+            Context::builder(kinds[next(2) as usize].clone(), &format!("s{subject}"))
+                .stamp(LogicalTime::new(stamp))
+                .lifespan(Lifespan::with_ttl(
+                    LogicalTime::new(stamp),
+                    Ticks::new(next(30)),
+                ))
+                .build()
+        };
+        for step in 0..4000u64 {
+            match next(8) {
+                0..=2 => ids.push(pool.insert(make(&mut next))),
+                3 => {
+                    let batch: Vec<Context> = (0..next(6)).map(|_| make(&mut next)).collect();
+                    ids.extend(pool.insert_batch(batch));
+                }
+                4 | 5 if !ids.is_empty() => {
+                    let id = ids[next(ids.len() as u64) as usize];
+                    pool.remove(id);
+                }
+                6 if !ids.is_empty() => {
+                    let id = ids[next(ids.len() as u64) as usize];
+                    let _ = pool.discard(id);
+                }
+                _ => {
+                    let now = LogicalTime::new(step / 2);
+                    if next(2) == 0 {
+                        pool.compact(now);
+                    } else {
+                        pool.sweep_expired(now);
+                    }
+                }
+            }
+            assert_index_invariants(&pool);
+        }
+    }
+
+    #[test]
+    fn removal_visits_do_not_grow_with_the_kind() {
+        // Retention removes contexts oldest first; a purge of the whole
+        // kind per removal would visit ~100x more handles in the wide
+        // pool. Both pools have the same four-context subject tracks.
+        const TRACK: u64 = 4;
+        fn visits_per_removal(subjects: usize) -> f64 {
+            let kind = ContextKind::new("location");
+            let names: Vec<String> = (0..subjects).map(|s| format!("s{s}")).collect();
+            let mut pool = ContextPool::new();
+            let mut ids = Vec::new();
+            for t in 0..TRACK {
+                for name in &names {
+                    let ctx = Context::builder(kind.clone(), name)
+                        .stamp(LogicalTime::new(t))
+                        .build();
+                    ids.push(pool.insert(ctx));
+                }
+            }
+            for &id in &ids {
+                pool.remove(id).expect("stored");
+            }
+            assert!(pool.is_empty() && pool.by_kind.is_empty() && pool.id_slots.is_empty());
+            pool.handle_visits as f64 / ids.len() as f64
+        }
+        let narrow = visits_per_removal(1_000);
+        let wide = visits_per_removal(100_000);
+        // The halving compactions round differently at the two sizes.
+        assert!(
+            wide <= narrow + 0.1,
+            "{wide:.3} handle visits per removal at 100k subjects vs {narrow:.3} at 1k"
+        );
+    }
+
+    #[test]
+    fn bulk_sweep_cleans_every_index() {
         let mut pool = ContextPool::new();
         for t in 0..50 {
             pool.insert(
